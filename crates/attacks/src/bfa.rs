@@ -17,7 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use dlk_dnn::layers::softmax_cross_entropy;
-use dlk_dnn::{BitIndex, QuantizedMlp, Tensor};
+use dlk_dnn::{BitIndex, QuantNetwork, Tensor};
 
 use crate::outcome::{AttackCurve, AttackPoint};
 
@@ -73,7 +73,7 @@ impl BitSearch {
     /// models.
     pub fn next_flip(
         &mut self,
-        model: &QuantizedMlp,
+        model: &QuantNetwork,
         x: &Tensor,
         labels: &[usize],
     ) -> Option<BitIndex> {
@@ -119,7 +119,7 @@ impl BitSearch {
     /// held-out set `(eval_x, eval_y)` while searching on `(x, labels)`.
     pub fn run(
         &mut self,
-        model: &mut QuantizedMlp,
+        model: &mut QuantNetwork,
         x: &Tensor,
         labels: &[usize],
         iterations: usize,

@@ -12,7 +12,7 @@ use std::sync::Once;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dlk_bench::print_once;
-use dlk_dnn::{models, QuantizedMlp, WeightLayout};
+use dlk_dnn::{models, QuantNetwork, WeightLayout};
 use dlk_engine::{EngineConfig, ShardedEngine, TraceReplay};
 use dlk_memctrl::{AddressMapper, MemCtrlConfig, MemoryController, Trace};
 
@@ -22,7 +22,7 @@ const WEIGHT_BASE: u64 = 0x400;
 const BATCHES: usize = 4;
 const CHUNK: usize = 32;
 
-fn model() -> QuantizedMlp {
+fn model() -> QuantNetwork {
     models::victim_resnet20_cnn(42).model
 }
 
@@ -33,7 +33,7 @@ fn model() -> QuantizedMlp {
 /// inference server would choose. (`ChannelRouter::globalize_trace`
 /// would instead pin the image to one shard, the single-tenant
 /// isolation layout the scenario catalog exercises.)
-fn global_fetch_trace(model: &QuantizedMlp) -> Trace {
+fn global_fetch_trace(model: &QuantNetwork) -> Trace {
     let config = MemCtrlConfig::tiny_for_tests();
     let mapper = AddressMapper::new(config.dram.geometry, config.scheme);
     let layout = WeightLayout::new(WEIGHT_BASE, mapper);

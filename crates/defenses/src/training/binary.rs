@@ -8,10 +8,9 @@
 //! the paper credits it with surviving 1150 flips.
 
 use dlk_dnn::data::SyntheticDataset;
-use dlk_dnn::model::Mlp;
 use dlk_dnn::models::Victim;
 use dlk_dnn::train::{TrainConfig, Trainer};
-use dlk_dnn::Tensor;
+use dlk_dnn::{Linear, Network, QuantNetwork, Tensor};
 
 use super::TableTwoEntry;
 
@@ -29,15 +28,42 @@ pub struct BinaryMlp {
     biases: Vec<Vec<f32>>,
 }
 
+/// The dense layers of an MLP plan, in order.
+///
+/// # Panics
+///
+/// Panics unless `model` is an MLP plan (see [`Network::mlp_layers`]):
+/// the Table II training-time baselines binarize and regrow dense
+/// layers, so they are evaluated on the paper's MLP stand-ins, not on
+/// the CNN victims.
+fn mlp_layers(model: &Network) -> Vec<&Linear> {
+    model.mlp_layers().expect("Table II defenses evaluate the MLP victims")
+}
+
+/// The victim's MLP layer sizes with every hidden width multiplied by
+/// `factor`.
+fn grown_sizes(victim: &Victim, factor: usize) -> Vec<usize> {
+    let base = victim.model.to_float_model();
+    let layers = mlp_layers(&base);
+    let mut sizes = vec![base.in_features()];
+    sizes.extend(layers[..layers.len() - 1].iter().map(|l| l.out_features() * factor));
+    sizes.push(base.num_classes());
+    sizes
+}
+
 impl BinaryMlp {
-    /// Binarizes a float model: `w -> sign(w) · mean|w_row|` per
-    /// output row.
-    pub fn binarize(model: &Mlp) -> Self {
+    /// Binarizes a float MLP: `w -> sign(w) · mean|w_row|` per output
+    /// row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is not an MLP plan.
+    pub fn binarize(model: &Network) -> Self {
         let mut signs = Vec::new();
         let mut magnitudes = Vec::new();
         let mut shapes = Vec::new();
         let mut biases = Vec::new();
-        for layer in model.layers() {
+        for layer in mlp_layers(model) {
             let weights = layer.weight().as_slice();
             let (out, input) = (layer.out_features(), layer.in_features());
             let row_mags: Vec<f32> = (0..out)
@@ -58,7 +84,15 @@ impl BinaryMlp {
     /// forward pass uses binarized weights while gradients update the
     /// float master, recovering most of the accuracy binarization
     /// costs (as binary-weight training does in the defense papers).
-    pub fn binarize_with_finetune(model: &Mlp, dataset: &SyntheticDataset, epochs: usize) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is not an MLP plan.
+    pub fn binarize_with_finetune(
+        model: &Network,
+        dataset: &SyntheticDataset,
+        epochs: usize,
+    ) -> Self {
         let mut master = model.clone();
         let n = dataset.train_x.rows();
         let dim = dataset.dim;
@@ -78,9 +112,7 @@ impl BinaryMlp {
                 // Forward/backward through the binarized weights.
                 let binary_model = Self::binarize(&master).to_float_model();
                 let (_, grads) = binary_model.loss_and_grads(&x, &ys).expect("shapes consistent");
-                for (layer, grad) in master.layers_mut().iter_mut().zip(&grads) {
-                    layer.apply_grads(grad, lr).expect("shapes consistent");
-                }
+                master.apply_grads(&grads, lr);
             }
         }
         Self::binarize(&master)
@@ -97,12 +129,8 @@ impl BinaryMlp {
     }
 
     /// Materializes the float model implied by current signs.
-    pub fn to_float_model(&self) -> Mlp {
-        let mut sizes = vec![self.shapes[0].1];
-        sizes.extend(self.shapes.iter().map(|&(out, _)| out));
-        let mut model = Mlp::new(&sizes, 0);
-        for (index, layer) in model.layers_mut().iter_mut().enumerate() {
-            let (out, input) = self.shapes[index];
+    pub fn to_float_model(&self) -> Network {
+        Network::from_dense(self.shapes.iter().enumerate().map(|(index, &(out, input))| {
             let data: Vec<f32> = self.signs[index]
                 .iter()
                 .enumerate()
@@ -115,12 +143,8 @@ impl BinaryMlp {
                     }
                 })
                 .collect();
-            *layer = dlk_dnn::Linear::from_parts(
-                Tensor::from_vec(out, input, data),
-                self.biases[index].clone(),
-            );
-        }
-        model
+            Linear::from_parts(Tensor::from_vec(out, input, data), self.biases[index].clone())
+        }))
     }
 
     /// Accuracy on a batch.
@@ -135,7 +159,7 @@ impl BinaryMlp {
         let mut best: Option<(f32, (usize, usize))> = None;
         for (layer_index, layer_grads) in grads.iter().enumerate() {
             let input = self.shapes[layer_index].1;
-            for (weight_index, &g) in layer_grads.weight.as_slice().iter().enumerate() {
+            for (weight_index, &g) in layer_grads.weight.iter().enumerate() {
                 // Toggling the sign changes w by -2w = ∓2m; first-order
                 // loss gain is g * delta.
                 let m = self.magnitudes[layer_index][weight_index / input];
@@ -165,12 +189,9 @@ impl BinaryWeight {
     /// evaluated on the paper's MLP stand-ins, not the CNN victims.
     pub fn evaluate(&self, victim: &Victim, sample: usize, budget: usize) -> TableTwoEntry {
         let (x, y) = victim.dataset.test_sample(sample, 0);
-        let mut model = BinaryMlp::binarize_with_finetune(
-            &victim.model.to_mlp().expect("Table II defenses evaluate the MLP victims"),
-            &victim.dataset,
-            20,
-        );
-        evaluate_binary("Binary Weight", &mut model, &victim.dataset, &x, &y, budget)
+        let mut model =
+            BinaryMlp::binarize_with_finetune(&victim.model.to_float_model(), &victim.dataset, 20);
+        evaluate_binary("Binary Weight", &mut model, &x, &y, budget)
     }
 }
 
@@ -198,31 +219,23 @@ impl RaBnn {
     pub fn evaluate(&self, victim: &Victim, sample: usize, budget: usize) -> TableTwoEntry {
         let (x, y) = victim.dataset.test_sample(sample, 0);
         // Grow hidden layers and retrain a float model, then binarize.
-        let base = victim.model.to_mlp().expect("Table II defenses evaluate the MLP victims");
-        let mut sizes = vec![base.in_features()];
-        for layer in &base.layers()[..base.num_layers() - 1] {
-            sizes.push(layer.out_features() * self.growth);
-        }
-        sizes.push(base.num_classes());
-        let mut grown = Mlp::new(&sizes, 99);
+        let mut grown = Network::mlp(&grown_sizes(victim, self.growth), 99);
         let config = TrainConfig { epochs: 60, ..TrainConfig::default() };
         Trainer::new(config).fit(&mut grown, &victim.dataset);
         let mut model = BinaryMlp::binarize_with_finetune(&grown, &victim.dataset, 20);
-        evaluate_binary("RA-BNN", &mut model, &victim.dataset, &x, &y, budget)
+        evaluate_binary("RA-BNN", &mut model, &x, &y, budget)
     }
 }
 
 fn evaluate_binary(
     name: &str,
     model: &mut BinaryMlp,
-    dataset: &SyntheticDataset,
     x: &Tensor,
     labels: &[usize],
     budget: usize,
 ) -> TableTwoEntry {
     let clean = model.accuracy(x, labels);
     let target = clean * 0.5;
-    let _ = dataset;
     let mut accuracy = clean;
     let mut flips = 0;
     while accuracy > target && flips < budget {
@@ -262,16 +275,10 @@ impl CapacityScale {
     /// [`BinaryWeight::evaluate`]).
     pub fn evaluate(&self, victim: &Victim, sample: usize, budget: usize) -> TableTwoEntry {
         let (x, y) = victim.dataset.test_sample(sample, 0);
-        let base = victim.model.to_mlp().expect("Table II defenses evaluate the MLP victims");
-        let mut sizes = vec![base.in_features()];
-        for layer in &base.layers()[..base.num_layers() - 1] {
-            sizes.push(layer.out_features() * self.width_factor);
-        }
-        sizes.push(base.num_classes());
-        let mut grown = Mlp::new(&sizes, 55);
+        let mut grown = Network::mlp(&grown_sizes(victim, self.width_factor), 55);
         let config = TrainConfig { epochs: 60, ..TrainConfig::default() };
         Trainer::new(config).fit(&mut grown, &victim.dataset);
-        let mut model = dlk_dnn::QuantizedMlp::quantize(&grown);
+        let mut model = QuantNetwork::quantize(&grown);
         let clean = model.accuracy(&x, &y).expect("shapes consistent");
         let (post, flips) = super::run_bfa_until(&mut model, &x, &y, clean * 0.5, budget);
         TableTwoEntry {
@@ -291,9 +298,7 @@ mod tests {
     #[test]
     fn binarize_roundtrip_shapes() {
         let victim = models::victim_tiny(8);
-        let binary = BinaryMlp::binarize(
-            &victim.model.to_mlp().expect("Table II defenses evaluate the MLP victims"),
-        );
+        let binary = BinaryMlp::binarize(&victim.model.to_float_model());
         assert_eq!(binary.total_weights(), victim.model.total_weights());
         let float_model = binary.to_float_model();
         assert_eq!(float_model.num_classes(), 4);
@@ -303,9 +308,7 @@ mod tests {
     fn binary_model_keeps_useful_accuracy() {
         let victim = models::victim_tiny(8);
         let (x, y) = victim.dataset.test_sample(48, 0);
-        let binary = BinaryMlp::binarize(
-            &victim.model.to_mlp().expect("Table II defenses evaluate the MLP victims"),
-        );
+        let binary = BinaryMlp::binarize(&victim.model.to_float_model());
         let acc = binary.accuracy(&x, &y);
         assert!(
             acc > victim.dataset.chance_accuracy() * 1.5,
@@ -316,9 +319,7 @@ mod tests {
     #[test]
     fn sign_flip_toggles() {
         let victim = models::victim_tiny(8);
-        let mut binary = BinaryMlp::binarize(
-            &victim.model.to_mlp().expect("Table II defenses evaluate the MLP victims"),
-        );
+        let mut binary = BinaryMlp::binarize(&victim.model.to_float_model());
         let before = binary.signs[0][0];
         binary.flip_sign(0, 0);
         assert_ne!(binary.signs[0][0], before);

@@ -4,9 +4,10 @@
 //! families of stand-ins are provided, both trained to high accuracy
 //! and 8-bit quantized exactly as in the paper's pipeline:
 //!
-//! - MLP stand-ins (`resnet20_like`, `vgg11_like`): the original
-//!   dense-only substrate, still used by the training-time defense
-//!   baselines (Table II) whose transforms are MLP-specific;
+//! - MLP stand-ins (`resnet20_like`, `vgg11_like`): dense-only
+//!   [`Network`]s built by [`Network::mlp`], still used by the
+//!   training-time defense baselines (Table II) whose transforms are
+//!   MLP-specific;
 //! - convolutional stand-ins (`resnet20_cnn`, `vgg11_cnn`,
 //!   `tiny_cnn`): real conv/pool/residual topologies on the
 //!   [`Network`] substrate — scaled to 1×8×8 synthetic images so
@@ -25,28 +26,27 @@ use std::sync::{Mutex, OnceLock};
 use crate::conv::{Conv2d, ConvSpec, Pool2d};
 use crate::data::SyntheticDataset;
 use crate::layers::Linear;
-use crate::model::Mlp;
 use crate::network::{Layer, Network};
-use crate::quant::{BitIndex, QuantizedMlp};
+use crate::quant::{BitIndex, QuantNetwork};
 use crate::storage::WeightLayout;
 use crate::tensor::Tensor;
-use crate::train::{TrainConfig, Trainable, Trainer};
+use crate::train::{TrainConfig, Trainer};
 
 /// A deep-narrow network for the CIFAR-10-like dataset
 /// (32 → 64 → 64 → 64 → 48 → 10).
-pub fn resnet20_like(seed: u64) -> Mlp {
-    Mlp::new(&[32, 64, 64, 64, 48, 10], seed)
+pub fn resnet20_like(seed: u64) -> Network {
+    Network::mlp(&[32, 64, 64, 64, 48, 10], seed)
 }
 
 /// A wide network with a large head for the CIFAR-100-like dataset
 /// (64 → 128 → 128 → 100).
-pub fn vgg11_like(seed: u64) -> Mlp {
-    Mlp::new(&[64, 128, 128, 100], seed)
+pub fn vgg11_like(seed: u64) -> Network {
+    Network::mlp(&[64, 128, 128, 100], seed)
 }
 
 /// A tiny MLP for unit tests (8 → 24 → 4).
-pub fn tiny_mlp(seed: u64) -> Mlp {
-    Mlp::new(&[8, 24, 4], seed)
+pub fn tiny_mlp(seed: u64) -> Network {
+    Network::mlp(&[8, 24, 4], seed)
 }
 
 /// A 3×3/stride-1/pad-1 convolution at the given feature-map size.
@@ -223,7 +223,7 @@ impl ModelKind {
 #[derive(Debug, Clone)]
 pub struct Victim {
     /// The quantized inference network deployed to DRAM.
-    pub model: QuantizedMlp,
+    pub model: QuantNetwork,
     /// Its dataset.
     pub dataset: SyntheticDataset,
     /// Test accuracy before any attack.
@@ -291,7 +291,7 @@ pub fn victim_tiny_cnn(seed: u64) -> Victim {
 /// row holds the first conv kernels, so the search walks conv-kernel
 /// bits through the same flat indexing.
 pub fn best_edge_target(
-    model: &QuantizedMlp,
+    model: &QuantNetwork,
     layout: &WeightLayout,
     x: &Tensor,
     y: &[usize],
@@ -313,14 +313,10 @@ pub fn best_edge_target(
     best.map(|(_, index)| index)
 }
 
-fn build_victim<M>(mut model: M, dataset: SyntheticDataset, epochs: usize, lr: f32) -> Victim
-where
-    M: Trainable,
-    for<'a> &'a M: Into<Network>,
-{
+fn build_victim(mut model: Network, dataset: SyntheticDataset, epochs: usize, lr: f32) -> Victim {
     let config = TrainConfig { epochs, lr, ..TrainConfig::default() };
     Trainer::new(config).fit(&mut model, &dataset);
-    let quantized = QuantizedMlp::quantize(&model);
+    let quantized = QuantNetwork::quantize(&model);
     let clean_accuracy =
         quantized.accuracy(&dataset.test_x, &dataset.test_y).expect("victim shapes are consistent");
     Victim { model: quantized, dataset, clean_accuracy }
@@ -360,15 +356,18 @@ mod tests {
 
     #[test]
     fn architectures_have_expected_shapes() {
-        assert_eq!(resnet20_like(0).num_layers(), 5);
+        assert_eq!(resnet20_like(0).weighted_count(), 5);
         assert_eq!(resnet20_like(0).num_classes(), 10);
         assert_eq!(vgg11_like(0).num_classes(), 100);
         // Deep-narrow vs wide: resnet-like has more layers, vgg-like
         // more parameters per layer on average.
         let r = resnet20_like(0);
         let v = vgg11_like(0);
-        assert!(r.num_layers() > v.num_layers());
-        assert!(v.total_weights() / v.num_layers() > r.total_weights() / r.num_layers());
+        assert!(r.weighted_count() > v.weighted_count());
+        assert!(v.total_weights() / v.weighted_count() > r.total_weights() / r.weighted_count());
+        for mlp in [&r, &v, &tiny_mlp(0)] {
+            assert!(mlp.mlp_layers().is_some(), "the stand-ins are MLP plans");
+        }
     }
 
     #[test]
@@ -396,9 +395,9 @@ mod tests {
 
     #[test]
     fn weighted_layers_match_constructed_networks() {
-        assert_eq!(ModelKind::Tiny.weighted_layers(), tiny_mlp(0).num_layers());
-        assert_eq!(ModelKind::Resnet20.weighted_layers(), resnet20_like(0).num_layers());
-        assert_eq!(ModelKind::Vgg11.weighted_layers(), vgg11_like(0).num_layers());
+        assert_eq!(ModelKind::Tiny.weighted_layers(), tiny_mlp(0).weighted_count());
+        assert_eq!(ModelKind::Resnet20.weighted_layers(), resnet20_like(0).weighted_count());
+        assert_eq!(ModelKind::Vgg11.weighted_layers(), vgg11_like(0).weighted_count());
         assert_eq!(ModelKind::TinyCnn.weighted_layers(), tiny_cnn(0).weighted_count());
         assert_eq!(ModelKind::Resnet20Cnn.weighted_layers(), resnet20_cnn(0).weighted_count());
         assert_eq!(ModelKind::Vgg11Cnn.weighted_layers(), vgg11_cnn(0).weighted_count());
@@ -412,7 +411,7 @@ mod tests {
         let again = victim_tiny_cnn(11);
         assert_eq!(victim.model, again.model);
         // The quantized model is a real CNN, not an MLP.
-        assert!(victim.model.to_mlp().is_none());
+        assert!(victim.model.to_float_model().mlp_layers().is_none());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The general sequential network: a flat [`Layer`] list that subsumes
-//! [`Mlp`] and adds convolutions, pooling and residual skips.
+//! The sequential float network: a flat [`Layer`] list covering MLPs
+//! (dense layers with ReLU between), convolutions, pooling and
+//! residual skips.
 //!
 //! A [`Network`] executes its layers in order over the workspace's 2-D
 //! [`Tensor`] (each batch row one flattened feature map). Residual
@@ -12,14 +13,14 @@
 //!
 //! ```
 //! use dlk_dnn::network::{Layer, Network};
-//! use dlk_dnn::{Mlp, Tensor};
+//! use dlk_dnn::Tensor;
 //!
-//! // Every MLP is a Network.
-//! let mlp = Mlp::new(&[4, 8, 2], 7);
-//! let net = Network::from(&mlp);
+//! // An MLP is the plan Dense (Relu Dense)*.
+//! let net = Network::mlp(&[4, 8, 2], 7);
+//! assert!(matches!(net.layers(), [Layer::Dense(_), Layer::Relu, Layer::Dense(_)]));
 //! let x = Tensor::randn(3, 4, 9);
-//! assert_eq!(net.forward(&x).unwrap(), mlp.forward(&x).unwrap());
-//! assert_eq!(net.weighted_count(), mlp.num_layers());
+//! assert_eq!(net.forward(&x).unwrap().shape(), (3, 2));
+//! assert_eq!(net.weighted_count(), 2);
 //! ```
 
 use serde::{Deserialize, Serialize};
@@ -29,7 +30,6 @@ use crate::error::DnnError;
 use crate::layers::{
     cross_entropy_grad, relu_backward, relu_forward, softmax_cross_entropy, Linear,
 };
-use crate::model::{argmax_rows, Mlp};
 use crate::tensor::Tensor;
 
 /// One step of a [`Network`]'s execution plan.
@@ -116,14 +116,34 @@ impl Network {
         Self { layers }
     }
 
-    /// Builds the MLP topology `sizes` (Dense layers with ReLU
-    /// between) — the [`Mlp`] constructor expressed as a [`Network`].
+    /// Builds the MLP topology `sizes`, e.g. `&[in, h1, out]`: Dense
+    /// layers with ReLU between, layer `i` initialized from seed
+    /// `seed + i`.
     ///
     /// # Panics
     ///
     /// Panics if fewer than two sizes are given.
     pub fn mlp(sizes: &[usize], seed: u64) -> Self {
-        Self::from(&Mlp::new(sizes, seed))
+        assert!(sizes.len() >= 2, "need at least input and output sizes");
+        Self::from_dense(
+            sizes
+                .windows(2)
+                .enumerate()
+                .map(|(i, w)| Linear::new(w[0], w[1], seed.wrapping_add(i as u64))),
+        )
+    }
+
+    /// Builds the MLP plan over the given dense layers: ReLU between
+    /// consecutive layers, none after the last.
+    pub fn from_dense(dense: impl IntoIterator<Item = Linear>) -> Self {
+        let mut layers = Vec::new();
+        for linear in dense {
+            if !layers.is_empty() {
+                layers.push(Layer::Relu);
+            }
+            layers.push(Layer::Dense(linear));
+        }
+        Self { layers }
     }
 
     /// Appends a layer (builder style).
@@ -183,13 +203,14 @@ impl Network {
             .unwrap_or(0)
     }
 
-    /// Reconstructs an [`Mlp`] when the plan is exactly the MLP shape
-    /// `Dense (Relu Dense)*` — the inverse of [`Network::from`].
-    pub fn as_mlp(&self) -> Option<Mlp> {
+    /// The dense layers, in order, when the plan is exactly the MLP
+    /// shape `Dense (Relu Dense)*` that [`Network::from_dense`] builds;
+    /// `None` for any other plan (CNNs included).
+    pub fn mlp_layers(&self) -> Option<Vec<&Linear>> {
         let mut dense = Vec::new();
         for (index, layer) in self.layers.iter().enumerate() {
             match layer {
-                Layer::Dense(l) if index % 2 == 0 => dense.push(l.clone()),
+                Layer::Dense(l) if index % 2 == 0 => dense.push(l),
                 Layer::Relu if index % 2 == 1 => {}
                 _ => return None,
             }
@@ -197,14 +218,7 @@ impl Network {
         if dense.is_empty() || self.layers.len().is_multiple_of(2) {
             return None;
         }
-        let sizes: Vec<usize> = std::iter::once(dense[0].in_features())
-            .chain(dense.iter().map(Linear::out_features))
-            .collect();
-        let mut mlp = Mlp::new(&sizes, 0);
-        for (dst, src) in mlp.layers_mut().iter_mut().zip(dense) {
-            *dst = src;
-        }
-        Some(mlp)
+        Some(dense)
     }
 
     /// Forward pass to logits.
@@ -291,14 +305,12 @@ impl Network {
             match (layer, cache) {
                 (Layer::Dense(l), Cache::Input(input)) => {
                     let (g, d_x) = l.backward(input, &d)?;
-                    grads_rev
-                        .push(LayerGrads { weight: g.weight.as_slice().to_vec(), bias: g.bias });
+                    grads_rev.push(LayerGrads { weight: g.weight.into_vec(), bias: g.bias });
                     d = d_x;
                 }
                 (Layer::Conv(c), Cache::Input(input)) => {
                     let (g, d_x) = c.backward(input, &d)?;
-                    grads_rev
-                        .push(LayerGrads { weight: g.weight.as_slice().to_vec(), bias: g.bias });
+                    grads_rev.push(LayerGrads { weight: g.weight.into_vec(), bias: g.bias });
                     d = d_x;
                 }
                 (Layer::Relu, Cache::Mask(mask)) => d = relu_backward(&d, mask),
@@ -327,29 +339,33 @@ impl Network {
     /// Same as [`Network::loss_and_grads`].
     pub fn train_step(&mut self, x: &Tensor, labels: &[usize], lr: f32) -> Result<f32, DnnError> {
         let (loss, grads) = self.loss_and_grads(x, labels)?;
-        let weighted = self.layers.iter_mut().filter(|l| l.is_weighted());
-        for (layer, grad) in weighted.zip(&grads) {
+        self.apply_grads(&grads, lr);
+        Ok(loss)
+    }
+
+    /// SGD update `p -= lr * grad` with one [`LayerGrads`] per weighted
+    /// layer, in execution order (the shape
+    /// [`Network::loss_and_grads`] returns).
+    pub fn apply_grads(&mut self, grads: &[LayerGrads], lr: f32) {
+        debug_assert_eq!(grads.len(), self.weighted_count(), "one grad per weighted layer");
+        fn sgd(params: &mut [f32], grads: &[f32], lr: f32) {
+            for (p, g) in params.iter_mut().zip(grads) {
+                *p -= lr * g;
+            }
+        }
+        for (layer, grad) in self.layers.iter_mut().filter(|l| l.is_weighted()).zip(grads) {
             match layer {
                 Layer::Dense(l) => {
-                    for (w, g) in l.weight_mut().as_mut_slice().iter_mut().zip(&grad.weight) {
-                        *w -= lr * g;
-                    }
-                    for (b, g) in l.bias_mut().iter_mut().zip(&grad.bias) {
-                        *b -= lr * g;
-                    }
+                    sgd(l.weight_mut().as_mut_slice(), &grad.weight, lr);
+                    sgd(l.bias_mut(), &grad.bias, lr);
                 }
                 Layer::Conv(c) => {
-                    for (w, g) in c.weight_mut().as_mut_slice().iter_mut().zip(&grad.weight) {
-                        *w -= lr * g;
-                    }
-                    for (b, g) in c.bias_mut().iter_mut().zip(&grad.bias) {
-                        *b -= lr * g;
-                    }
+                    sgd(c.weight_mut().as_mut_slice(), &grad.weight, lr);
+                    sgd(c.bias_mut(), &grad.bias, lr);
                 }
                 _ => unreachable!("filtered to weighted layers"),
             }
         }
-        Ok(loss)
     }
 
     /// Predicted class per input row.
@@ -373,24 +389,21 @@ impl Network {
     }
 }
 
-impl From<&Mlp> for Network {
-    /// Every MLP is a network: Dense layers with ReLU between.
-    fn from(mlp: &Mlp) -> Self {
-        let mut layers = Vec::with_capacity(mlp.num_layers() * 2 - 1);
-        for (index, linear) in mlp.layers().iter().enumerate() {
-            if index > 0 {
-                layers.push(Layer::Relu);
+/// Row-wise argmax; ties go to the lowest index.
+pub fn argmax_rows(logits: &Tensor) -> Vec<usize> {
+    (0..logits.rows())
+        .map(|row| {
+            let mut best = 0;
+            let mut best_value = f32::NEG_INFINITY;
+            for (index, &value) in logits.row(row).iter().enumerate() {
+                if value > best_value {
+                    best_value = value;
+                    best = index;
+                }
             }
-            layers.push(Layer::Dense(linear.clone()));
-        }
-        Self { layers }
-    }
-}
-
-impl From<&Network> for Network {
-    fn from(net: &Network) -> Self {
-        net.clone()
-    }
+            best
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -417,34 +430,139 @@ mod tests {
     }
 
     #[test]
-    fn network_subsumes_mlp_exactly() {
-        let mlp = Mlp::new(&[5, 9, 4, 3], 3);
-        let net = Network::from(&mlp);
+    fn mlp_plan_is_the_dense_relu_composition() {
+        // The plan: Dense layers seeded `seed + i`, ReLU between.
+        let net = Network::mlp(&[5, 9, 4, 3], 3);
+        let dense = [Linear::new(5, 9, 3), Linear::new(9, 4, 4), Linear::new(4, 3, 5)];
+        assert_eq!(net, Network::from_dense(dense.clone()));
+        assert_eq!(net.layers().len(), 5);
+        assert_eq!(net.total_weights(), 5 * 9 + 9 * 4 + 4 * 3);
+        assert_eq!(net.in_features(), 5);
+        assert_eq!(net.num_classes(), 3);
+
+        // Forward and backward agree bit for bit with composing the
+        // dense layers by hand.
         let x = Tensor::randn(6, 5, 4);
         let labels = vec![0, 1, 2, 0, 1, 2];
-        assert_eq!(net.forward(&x).unwrap(), mlp.forward(&x).unwrap());
-        assert_eq!(net.total_weights(), mlp.total_weights());
-        assert_eq!(net.in_features(), mlp.in_features());
-        assert_eq!(net.num_classes(), mlp.num_classes());
-        // Gradients agree layer for layer.
-        let (net_loss, net_grads) = net.loss_and_grads(&x, &labels).unwrap();
-        let (mlp_loss, mlp_grads) = mlp.loss_and_grads(&x, &labels).unwrap();
-        assert_eq!(net_loss, mlp_loss);
-        assert_eq!(net_grads.len(), mlp_grads.len());
-        for (ng, mg) in net_grads.iter().zip(&mlp_grads) {
-            assert_eq!(ng.weight, mg.weight.as_slice());
-            assert_eq!(ng.bias, mg.bias);
+        let mut inputs = Vec::new();
+        let mut masks = Vec::new();
+        let mut act = x.clone();
+        for (index, layer) in dense.iter().enumerate() {
+            inputs.push(act.clone());
+            act = layer.forward(&act).unwrap();
+            if index + 1 < dense.len() {
+                let (y, mask) = relu_forward(&act);
+                act = y;
+                masks.push(mask);
+            }
         }
-        // And the round trip back to an Mlp is lossless.
-        assert_eq!(net.as_mlp().unwrap(), mlp);
+        assert_eq!(net.forward(&x).unwrap(), act);
+        let (loss, probs) = softmax_cross_entropy(&act, &labels);
+        let mut d = cross_entropy_grad(&probs, &labels);
+        let mut expected = Vec::new();
+        for index in (0..dense.len()).rev() {
+            let (g, d_x) = dense[index].backward(&inputs[index], &d).unwrap();
+            expected.push(LayerGrads { weight: g.weight.into_vec(), bias: g.bias });
+            d = if index > 0 { relu_backward(&d_x, &masks[index - 1]) } else { d_x };
+        }
+        expected.reverse();
+        let (net_loss, net_grads) = net.loss_and_grads(&x, &labels).unwrap();
+        assert_eq!(net_loss, loss);
+        assert_eq!(net_grads, expected);
+
+        // And the MLP shape is recognized again, layer for layer.
+        let recovered: Vec<Linear> = net.mlp_layers().unwrap().into_iter().cloned().collect();
+        assert_eq!(recovered, dense);
     }
 
     #[test]
-    fn as_mlp_rejects_non_mlp_plans() {
-        assert!(tiny_residual_cnn(1).as_mlp().is_none());
-        assert!(Network::new(vec![Layer::Relu]).as_mlp().is_none());
+    fn mlp_layers_rejects_non_mlp_plans() {
+        assert!(tiny_residual_cnn(1).mlp_layers().is_none());
+        assert!(Network::new(vec![Layer::Relu]).mlp_layers().is_none());
+        assert!(Network::new(Vec::new()).mlp_layers().is_none());
         let trailing_relu = Network::mlp(&[3, 2], 0).push(Layer::Relu);
-        assert!(trailing_relu.as_mlp().is_none());
+        assert!(trailing_relu.mlp_layers().is_none());
+        assert_eq!(Network::mlp(&[3, 2], 0).mlp_layers().map(|l| l.len()), Some(1));
+    }
+
+    #[test]
+    fn forward_shapes() {
+        let model = Network::mlp(&[4, 8, 3], 1);
+        let x = Tensor::zeros(5, 4);
+        assert_eq!(model.forward(&x).unwrap().shape(), (5, 3));
+        assert_eq!(model.num_classes(), 3);
+        assert_eq!(model.in_features(), 4);
+        assert_eq!(model.total_weights(), 4 * 8 + 8 * 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least")]
+    fn too_few_sizes_panics() {
+        let _ = Network::mlp(&[4], 0);
+    }
+
+    #[test]
+    fn argmax_breaks_ties_low_index() {
+        let logits = Tensor::from_rows(&[&[1.0, 1.0, 0.0]]);
+        assert_eq!(argmax_rows(&logits), vec![0]);
+    }
+
+    #[test]
+    fn sgd_update_moves_against_gradient() {
+        let mut net = Network::from_dense([Linear::from_parts(Tensor::zeros(1, 1), vec![0.0])]);
+        net.apply_grads(&[LayerGrads { weight: vec![2.0], bias: vec![1.0] }], 0.5);
+        let Layer::Dense(layer) = &net.layers()[0] else { unreachable!("one dense layer") };
+        assert_eq!(layer.weight().get(0, 0), -1.0);
+        assert_eq!(layer.bias()[0], -0.5);
+    }
+
+    #[test]
+    fn training_reduces_loss_on_separable_data() {
+        let mut model = Network::mlp(&[2, 16, 2], 5);
+        // Two separable clusters.
+        let mut xs = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..20 {
+            let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+            xs.extend([sign * 2.0 + 0.01 * i as f32, sign * 2.0]);
+            labels.push(usize::from(i % 2 == 1));
+        }
+        let x = Tensor::from_vec(20, 2, xs);
+        let first = model.train_step(&x, &labels, 0.1).unwrap();
+        let mut last = first;
+        for _ in 0..50 {
+            last = model.train_step(&x, &labels, 0.1).unwrap();
+        }
+        assert!(last < first * 0.5, "loss {first} -> {last}");
+        assert!(model.accuracy(&x, &labels).unwrap() > 0.95);
+    }
+
+    #[test]
+    fn multilayer_gradient_check() {
+        let model = Network::mlp(&[3, 5, 4, 2], 33);
+        let x = Tensor::randn(4, 3, 34);
+        let labels = vec![0, 1, 0, 1];
+        let (_, grads) = model.loss_and_grads(&x, &labels).unwrap();
+        let loss_at = |probe: &Network| {
+            let y = probe.forward(&x).unwrap();
+            softmax_cross_entropy(&y, &labels).0
+        };
+        let eps = 1e-3f32;
+        // Check weight (0, 0) of each dense layer (plan positions 0, 2, 4).
+        for (layer_index, layer_grads) in grads.iter().enumerate() {
+            let mut probe = model.clone();
+            let orig = probe.layers()[2 * layer_index].weight().unwrap().get(0, 0);
+            probe.layers_mut()[2 * layer_index].weight_mut().unwrap().set(0, 0, orig + eps);
+            let up = loss_at(&probe);
+            probe.layers_mut()[2 * layer_index].weight_mut().unwrap().set(0, 0, orig - eps);
+            let down = loss_at(&probe);
+            let numeric = (up - down) / (2.0 * eps);
+            let analytic = layer_grads.weight[0];
+            assert!(
+                (numeric - analytic).abs() < 2e-2,
+                "layer {layer_index}: numeric {numeric} vs analytic {analytic}"
+            );
+        }
     }
 
     #[test]

@@ -19,8 +19,7 @@ use serde::{Deserialize, Serialize};
 use crate::conv::{Conv2d, ConvSpec, Pool2d};
 use crate::error::DnnError;
 use crate::layers::Linear;
-use crate::model::{argmax_rows, Mlp};
-use crate::network::{Layer, LayerGrads, Network};
+use crate::network::{argmax_rows, Layer, LayerGrads, Network};
 use crate::tensor::Tensor;
 
 /// Identifies one bit of one quantized weight.
@@ -247,10 +246,10 @@ impl QuantLayer {
 /// # Example
 ///
 /// ```
-/// use dlk_dnn::{Mlp, QuantizedMlp, BitIndex};
+/// use dlk_dnn::{BitIndex, Network, QuantNetwork};
 ///
-/// let model = Mlp::new(&[4, 8, 2], 3);
-/// let mut quantized = QuantizedMlp::quantize(&model);
+/// let model = Network::mlp(&[4, 8, 2], 3);
+/// let mut quantized = QuantNetwork::quantize(&model);
 /// let bit = BitIndex { layer: 0, weight: 0, bit: 7 };
 /// let before = quantized.bit(bit).unwrap();
 /// quantized.flip_bit(bit).unwrap();
@@ -261,17 +260,10 @@ pub struct QuantNetwork {
     layers: Vec<QuantLayer>,
 }
 
-/// The historical name of the quantized network, kept because every
-/// call site grew up on the all-dense substrate. A `QuantizedMlp` can
-/// hold convolutions and residual skips since the CNN subsystem landed.
-pub type QuantizedMlp = QuantNetwork;
-
 impl QuantNetwork {
-    /// Quantizes every layer of a float model ([`Mlp`] or [`Network`],
-    /// by reference).
-    pub fn quantize(model: impl Into<Network>) -> Self {
-        let network: Network = model.into();
-        Self { layers: network.layers().iter().map(QuantLayer::quantize).collect() }
+    /// Quantizes every layer of a float network.
+    pub fn quantize(model: &Network) -> Self {
+        Self { layers: model.layers().iter().map(QuantLayer::quantize).collect() }
     }
 
     /// The full execution plan, including structure layers.
@@ -314,12 +306,6 @@ impl QuantNetwork {
     /// corrupted) quantized weights.
     pub fn to_float_model(&self) -> Network {
         Network::new(self.layers.iter().map(QuantLayer::dequantize).collect())
-    }
-
-    /// Reconstructs an [`Mlp`] when the plan is the all-dense MLP
-    /// shape; `None` for CNNs.
-    pub fn to_mlp(&self) -> Option<Mlp> {
-        self.to_float_model().as_mlp()
     }
 
     /// Forward pass to logits (dequantized execution).
@@ -477,10 +463,8 @@ impl QuantNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
-
-    fn model() -> Mlp {
-        Mlp::new(&[4, 6, 3], 17)
+    fn model() -> Network {
+        Network::mlp(&[4, 6, 3], 17)
     }
 
     fn cnn() -> Network {
@@ -499,10 +483,10 @@ mod tests {
     #[test]
     fn quantization_error_is_bounded() {
         let float_model = model();
-        let quantized = QuantizedMlp::quantize(&float_model);
-        for (fl, ql) in float_model.layers().iter().zip(quantized.weighted_layers()) {
+        let quantized = QuantNetwork::quantize(&float_model);
+        for (fl, ql) in float_model.weighted_layers().iter().zip(quantized.weighted_layers()) {
             let deq = ql.matrix().unwrap().dequantize();
-            for (a, b) in fl.weight().as_slice().iter().zip(deq.weight().as_slice()) {
+            for (a, b) in fl.weight().unwrap().as_slice().iter().zip(deq.weight().as_slice()) {
                 assert!((a - b).abs() <= ql.scale() / 2.0 + 1e-6);
             }
         }
@@ -511,7 +495,7 @@ mod tests {
     #[test]
     fn quantized_accuracy_close_to_float() {
         let float_model = model();
-        let quantized = QuantizedMlp::quantize(&float_model);
+        let quantized = QuantNetwork::quantize(&float_model);
         let x = Tensor::randn(32, 4, 3);
         let float_logits = float_model.forward(&x).unwrap();
         let quant_logits = quantized.forward(&x).unwrap();
@@ -525,7 +509,7 @@ mod tests {
 
     #[test]
     fn bit_flip_roundtrip() {
-        let mut quantized = QuantizedMlp::quantize(&model());
+        let mut quantized = QuantNetwork::quantize(&model());
         let bit = BitIndex { layer: 1, weight: 5, bit: 3 };
         let before = quantized.bit(bit).unwrap();
         let after = quantized.flip_bit(bit).unwrap();
@@ -536,7 +520,7 @@ mod tests {
 
     #[test]
     fn msb_flip_moves_weight_most() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         let lsb = quantized.flip_delta(BitIndex { layer: 0, weight: 0, bit: 0 }).unwrap().abs();
         let msb = quantized.flip_delta(BitIndex { layer: 0, weight: 0, bit: 7 }).unwrap().abs();
         assert!(msb > lsb * 100.0, "msb {msb} vs lsb {lsb}");
@@ -544,14 +528,14 @@ mod tests {
 
     #[test]
     fn out_of_range_bit_rejected() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         assert!(quantized.bit(BitIndex { layer: 9, weight: 0, bit: 0 }).is_err());
         assert!(quantized.bit(BitIndex { layer: 0, weight: 1 << 20, bit: 0 }).is_err());
     }
 
     #[test]
     fn weight_bytes_roundtrip() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         let bytes = quantized.weight_bytes();
         assert_eq!(bytes.len(), quantized.total_weights());
         let mut other = quantized.clone();
@@ -566,7 +550,7 @@ mod tests {
 
     #[test]
     fn locate_byte_is_inverse_of_byte_offset() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         for offset in [0usize, 5, 23, quantized.total_weights() - 1] {
             let (layer, weight) = quantized.locate_byte(offset).unwrap();
             assert_eq!(quantized.byte_offset(layer, weight), Some(offset));
@@ -576,7 +560,7 @@ mod tests {
 
     #[test]
     fn to_float_model_matches_forward() {
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         let float_model = quantized.to_float_model();
         let x = Tensor::randn(4, 4, 8);
         let a = quantized.forward(&x).unwrap();
@@ -591,16 +575,16 @@ mod tests {
         // The historical contract: for an MLP, BitIndex.layer is the
         // linear-layer position, despite the interleaved ReLUs in the
         // flat plan.
-        let quantized = QuantizedMlp::quantize(&model());
+        let quantized = QuantNetwork::quantize(&model());
         assert_eq!(quantized.layers().len(), 3); // Dense Relu Dense
         assert_eq!(quantized.weighted_count(), 2);
         assert_eq!(quantized.locate_byte(0), Some((0, 0)));
         assert_eq!(quantized.locate_byte(4 * 6), Some((1, 0)));
-        // The dequantized network still round-trips as an MLP, and
+        // The dequantized network is still an MLP plan, and
         // re-quantizing it is a fixed point.
-        let mlp = quantized.to_mlp().unwrap();
-        assert_eq!(mlp.num_layers(), 2);
-        assert_eq!(QuantizedMlp::quantize(&mlp), quantized);
+        let float_model = quantized.to_float_model();
+        assert_eq!(float_model.mlp_layers().map(|dense| dense.len()), Some(2));
+        assert_eq!(QuantNetwork::quantize(&float_model), quantized);
     }
 
     #[test]
@@ -609,7 +593,7 @@ mod tests {
         let quantized = QuantNetwork::quantize(&network);
         assert_eq!(quantized.weighted_count(), 3);
         assert_eq!(quantized.total_weights(), network.total_weights());
-        assert!(quantized.to_mlp().is_none());
+        assert!(quantized.to_float_model().mlp_layers().is_none());
         // Quantized forward tracks the float network closely.
         let x = Tensor::randn(8, 16, 9);
         let fl = network.forward(&x).unwrap();
@@ -621,7 +605,7 @@ mod tests {
 
     #[test]
     fn conv_kernel_bits_are_flippable() {
-        let mut quantized = QuantNetwork::quantize(cnn());
+        let mut quantized = QuantNetwork::quantize(&cnn());
         // Weighted layer 1 is the residual conv: flip its first MSB.
         let bit = BitIndex { layer: 1, weight: 0, bit: 7 };
         let before = quantized.weighted_layers()[1].matrix().unwrap().weight_byte(0).unwrap();
@@ -637,7 +621,7 @@ mod tests {
 
     #[test]
     fn cnn_grads_align_with_bit_indices() {
-        let quantized = QuantNetwork::quantize(cnn());
+        let quantized = QuantNetwork::quantize(&cnn());
         let x = Tensor::randn(6, 16, 10);
         let labels = vec![0, 1, 2, 0, 1, 2];
         let (_, grads) = quantized.loss_and_grads(&x, &labels).unwrap();

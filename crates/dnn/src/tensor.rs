@@ -129,6 +129,11 @@ impl Tensor {
         &mut self.data
     }
 
+    /// Consumes the tensor, returning its flat row-major data.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// One row as a slice.
     pub fn row(&self, row: usize) -> &[f32] {
         &self.data[row * self.cols..(row + 1) * self.cols]

@@ -73,6 +73,16 @@ impl DramConfig {
     }
 }
 
+/// The cost of one timed access ([`DramDevice::access_read`] /
+/// [`DramDevice::access_write`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// Cycles the access took, including any refresh it caught up on.
+    pub cycles: u64,
+    /// Whether the access activated its row (row-buffer miss).
+    pub activated: bool,
+}
+
 /// A command-level DRAM device model.
 ///
 /// # Example
@@ -188,7 +198,8 @@ impl DramDevice {
         }
     }
 
-    /// Issues one DRAM command. The clock advances to the command's
+    /// Issues one DRAM command, first catching up on due refreshes
+    /// when `auto_refresh` is on. The clock advances to the command's
     /// completion; disturbance events are applied to stored data and
     /// returned in the result.
     ///
@@ -198,9 +209,21 @@ impl DramDevice {
     /// or references an address outside the geometry. The device state
     /// is unchanged on error.
     pub fn issue(&mut self, cmd: DramCommand) -> Result<CommandResult, DramError> {
+        self.catch_up_refresh();
+        self.execute(cmd)
+    }
+
+    /// Services due refreshes when `auto_refresh` is on.
+    fn catch_up_refresh(&mut self) {
         if self.config.auto_refresh {
             self.service_refresh();
         }
+    }
+
+    /// Executes one command with no refresh check: the body of
+    /// [`DramDevice::issue`], and what an access uses between its own
+    /// commands so a refresh never closes the row it just opened.
+    fn execute(&mut self, cmd: DramCommand) -> Result<CommandResult, DramError> {
         let timing = self.config.timing;
         let mut disturbances = Vec::new();
         let (start, done) = match cmd {
@@ -299,9 +322,11 @@ impl DramDevice {
     }
 
     /// A timed read access: activates the row if needed (closing any
-    /// other open row first), then reads `len` bytes at `col`.
+    /// other open row first), then reads `len` bytes at `col`. With
+    /// `auto_refresh` on, due refreshes are caught up once, before the
+    /// access's first command, and never between its commands.
     ///
-    /// Returns the data and the cycles the access took.
+    /// Returns the data and the access's [`Access`] cost.
     ///
     /// # Errors
     ///
@@ -311,13 +336,13 @@ impl DramDevice {
         addr: RowAddr,
         col: usize,
         len: usize,
-    ) -> Result<(Vec<u8>, u64), DramError> {
+    ) -> Result<(Vec<u8>, Access), DramError> {
         let begin = self.clock;
-        self.open_row_for(addr)?;
-        self.issue(DramCommand::Rd { bank: addr.bank, col })?;
+        let activated = self.open_row_for(addr)?;
+        self.execute(DramCommand::Rd { bank: addr.bank, col })?;
         let idx = self.storage_index(addr.bank, addr.subarray);
         let data = self.storage[idx].read_bytes(addr.row, col, len)?;
-        Ok((data, self.clock - begin))
+        Ok((data, Access { cycles: self.clock - begin, activated }))
     }
 
     /// A timed write access, mirroring [`DramDevice::access_read`].
@@ -330,32 +355,33 @@ impl DramDevice {
         addr: RowAddr,
         col: usize,
         bytes: &[u8],
-    ) -> Result<u64, DramError> {
+    ) -> Result<Access, DramError> {
         let begin = self.clock;
-        self.open_row_for(addr)?;
-        self.issue(DramCommand::Wr { bank: addr.bank, col })?;
+        let activated = self.open_row_for(addr)?;
+        self.execute(DramCommand::Wr { bank: addr.bank, col })?;
         let idx = self.storage_index(addr.bank, addr.subarray);
         self.storage[idx].write_bytes(addr.row, col, bytes)?;
-        Ok(self.clock - begin)
+        Ok(Access { cycles: self.clock - begin, activated })
     }
 
-    fn open_row_for(&mut self, addr: RowAddr) -> Result<(), DramError> {
+    /// The head of a timed access: catches up on due refreshes, then
+    /// opens `addr`'s row. Returns whether it activated the row.
+    fn open_row_for(&mut self, addr: RowAddr) -> Result<bool, DramError> {
         self.validate_row(addr)?;
+        self.catch_up_refresh();
         match self.banks[addr.bank as usize].open_row() {
             Some(open) if open == addr => {
                 self.stats.row_buffer_hits += 1;
+                return Ok(false);
             }
             Some(_) => {
                 self.stats.row_buffer_misses += 1;
-                self.issue(DramCommand::Pre(addr.bank))?;
-                self.issue(DramCommand::Act(addr))?;
+                self.execute(DramCommand::Pre(addr.bank))?;
             }
-            None => {
-                self.stats.row_buffer_misses += 1;
-                self.issue(DramCommand::Act(addr))?;
-            }
+            None => self.stats.row_buffer_misses += 1,
         }
-        Ok(())
+        self.execute(DramCommand::Act(addr))?;
+        Ok(true)
     }
 
     /// Functional (untimed) full-row read — for initialization and
@@ -505,7 +531,8 @@ mod tests {
         let mut dram = device();
         let addr = RowAddr::new(0, 0, 1);
         dram.access_write(addr, 0, &[1, 2, 3]).unwrap();
-        let (data, _) = dram.access_read(addr, 0, 3).unwrap();
+        let (data, access) = dram.access_read(addr, 0, 3).unwrap();
+        assert!(!access.activated, "the write left the row open");
         assert_eq!(data, vec![1, 2, 3]);
         assert_eq!(dram.stats().row_buffer_misses, 1);
         assert_eq!(dram.stats().row_buffer_hits, 1);

@@ -55,7 +55,7 @@ pub mod timing;
 
 pub use crate::bank::{Bank, BankState};
 pub use crate::command::{CommandKind, CommandResult, DramCommand};
-pub use crate::device::{DramConfig, DramDevice};
+pub use crate::device::{Access, DramConfig, DramDevice};
 pub use crate::error::DramError;
 pub use crate::generation::DramGeneration;
 pub use crate::geometry::{BankId, DramGeometry, RowAddr, RowId, SubarrayId};

@@ -404,17 +404,15 @@ impl MemoryController {
                 (new_row, col)
             }
         };
-        let will_activate = self.dram.open_row_of(row.bank) != Some(row);
         let kind = &KIND_ACTIONS[request.kind.index()];
-        let data = if kind.is_read {
-            let (data, cycles) = self.dram.access_read(row, col, request.len)?;
-            latency += cycles;
-            Some(data)
+        let (data, access) = if kind.is_read {
+            let (data, access) = self.dram.access_read(row, col, request.len)?;
+            (Some(data), access)
         } else {
-            latency += self.dram.access_write(row, col, &request.payload)?;
-            None
+            (None, self.dram.access_write(row, col, &request.payload)?)
         };
-        if will_activate {
+        latency += access.cycles;
+        if access.activated {
             self.hook.on_activate(row, &mut self.dram);
         }
         self.stats.reads += kind.reads;
@@ -562,6 +560,49 @@ mod tests {
         ctrl.submit(MemRequest::read(8, 1));
         ctrl.run_to_completion().unwrap();
         assert_eq!(acts.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    /// With auto-refresh on, a refresh that falls due mid-stream is
+    /// caught up before an access, never between its PRE/ACT/RD/WR:
+    /// every request is served, reads see the last write, and the hook
+    /// sees exactly the activations the device performed.
+    #[test]
+    fn auto_refresh_never_interrupts_an_access() {
+        let mut config = MemCtrlConfig::tiny_for_tests();
+        config.dram.auto_refresh = true;
+        config.dram.timing.trefi = 2_000;
+        config.dram.timing.trefw = 20_000;
+        // No RowHammer flips: the shadow copy checks the refresh path only.
+        config.dram.hammer.trh = u64::MAX;
+        let acts = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let mut ctrl = MemoryController::with_hook(config, Box::new(CountActs(acts.clone())));
+        let row_bytes = ctrl.geometry().row_bytes as u64;
+        let span = 8 * row_bytes;
+        let mut shadow = vec![0u8; span as usize];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..2_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let draw = state >> 33;
+            let addr = (draw % 8) * row_bytes + (draw / 8) % (row_bytes - 4);
+            let at = addr as usize..addr as usize + 4;
+            if (draw >> 24) & 1 == 0 {
+                let payload = (i as u32).to_le_bytes().to_vec();
+                shadow[at].copy_from_slice(&payload);
+                ctrl.service(MemRequest::write(addr, payload)).unwrap();
+            } else {
+                let done = ctrl.service(MemRequest::read(addr, 4)).unwrap();
+                assert_eq!(done.data.as_deref(), Some(&shadow[at]), "request {i}");
+            }
+        }
+        let dram = ctrl.dram().stats();
+        assert!(dram.count(dlk_dram::CommandKind::Ref) > 0, "refresh must fall due mid-stream");
+        assert!(dram.row_buffer_hits > 0, "the stream must mix row hits and misses");
+        assert_eq!(
+            acts.load(std::sync::atomic::Ordering::Relaxed),
+            dram.count(dlk_dram::CommandKind::Act)
+        );
     }
 
     /// The batch path is the optimized twin of the per-request path:

@@ -14,7 +14,7 @@ use dlk_attacks::bfa::{BfaConfig, BitSearch};
 use dlk_attacks::hammer::{HammerConfig, HammerDriver};
 use dlk_attacks::pta::{PtaAttack, PtaConfig};
 use dlk_attacks::RandomAttack;
-use dlk_dnn::{models, BitIndex, QuantizedMlp, Tensor};
+use dlk_dnn::{models, BitIndex, QuantNetwork, Tensor};
 use dlk_engine::{ShardedEngine, Trace, TraceReplay, Workload};
 use dlk_memctrl::{MemRequest, MemoryController};
 
@@ -276,7 +276,7 @@ fn flip_campaign(
     env: &mut RunEnv<'_>,
     kind: &str,
     mut lands: impl FnMut() -> bool,
-    mut select: impl FnMut(&QuantizedMlp, &Tensor, &[usize]) -> Option<BitIndex>,
+    mut select: impl FnMut(&QuantNetwork, &Tensor, &[usize]) -> Option<BitIndex>,
 ) -> Result<AttackOutcome, SimError> {
     let handle = &env.victims[env.target];
     let victim = handle

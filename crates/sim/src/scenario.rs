@@ -51,7 +51,7 @@
 //! # }
 //! ```
 
-use dlk_dnn::{QuantizedMlp, WeightLayout};
+use dlk_dnn::{QuantNetwork, WeightLayout};
 use dlk_engine::{ChannelRouter, EngineConfig, ShardedEngine};
 use dlk_locker::DramLocker;
 use dlk_memctrl::{AddressMapper, MemCtrlConfig, MemoryController};
@@ -529,7 +529,7 @@ impl ScenarioRun {
     /// # Errors
     ///
     /// Propagates controller errors; `Ok(None)` for raw-row victims.
-    pub fn reload_model(&mut self, index: usize) -> Result<Option<QuantizedMlp>, SimError> {
+    pub fn reload_model(&mut self, index: usize) -> Result<Option<QuantNetwork>, SimError> {
         let victim = &self.victims[index];
         victim.reload_model(self.engine.shard_mut(self.homes[index]).controller_mut())
     }

@@ -12,7 +12,7 @@
 //! installed, and the physical ranges defenses should guard recorded.
 
 use dlk_dnn::models::{ModelKind, Victim};
-use dlk_dnn::{QuantizedMlp, WeightLayout};
+use dlk_dnn::{QuantNetwork, WeightLayout};
 use dlk_dram::{DramDevice, RowAddr};
 use dlk_memctrl::{
     MemCtrlError, MemRequest, MemoryController, PageTable, PageTableConfig, VirtAddr,
@@ -263,7 +263,7 @@ impl DeployedVictim {
     pub fn reload_model(
         &self,
         ctrl: &mut MemoryController,
-    ) -> Result<Option<QuantizedMlp>, SimError> {
+    ) -> Result<Option<QuantNetwork>, SimError> {
         let mapper = *ctrl.mapper();
         let row_bytes = mapper.geometry().row_bytes as u64;
         let (victim, bytes) = match &self.kind {
@@ -312,7 +312,7 @@ impl DeployedVictim {
     /// Reads the model back *functionally* (no controller requests, no
     /// hook interaction) — the fast path for iterated searches whose
     /// physical realization is modelled statistically.
-    pub fn model_from_dram(&self, dram: &DramDevice) -> Result<Option<QuantizedMlp>, SimError> {
+    pub fn model_from_dram(&self, dram: &DramDevice) -> Result<Option<QuantNetwork>, SimError> {
         match &self.kind {
             DeployedKind::Model { victim, layout } => {
                 let mut model = victim.model.clone();
@@ -324,7 +324,7 @@ impl DeployedVictim {
     }
 
     /// Accuracy (percent) of `model` on this victim's held-out sample.
-    pub fn accuracy_pct(&self, model: &QuantizedMlp, eval_batch: usize) -> Option<f64> {
+    pub fn accuracy_pct(&self, model: &QuantNetwork, eval_batch: usize) -> Option<f64> {
         let victim = self.victim()?;
         let (x, y) = victim.dataset.test_sample(eval_batch, 0);
         model.accuracy(&x, &y).ok().map(|a| a * 100.0)
