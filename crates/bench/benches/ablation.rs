@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dlk_bench::print_once;
 use dlk_locker::{LockTarget, LockerConfig};
 use dlk_memctrl::{MemCtrlConfig, MemRequest, MemoryController, SchedulingPolicy};
-use dlk_sim::{Attack, AttackOutcome, LockerMitigation, RunEnv, Scenario, SimError, VictimSpec};
+use dlk_sim::{Attack, AttackOutcome, DefenseSpec, RunEnv, Scenario, SimError, VictimSpec};
 
 static ARTIFACT: Once = Once::new();
 
@@ -52,12 +52,12 @@ impl Attack for VictimMix {
 
 /// Returns (redirects, denies, mean latency) for one configuration.
 fn victim_workload(relock_interval: u64, target: LockTarget) -> (u64, u64, f64) {
-    let config = LockerConfig { relock_interval, lock_target: target, ..LockerConfig::default() };
+    let config = LockerConfig { relock_interval, ..LockerConfig::default() };
     let report = Scenario::builder()
         .label("ablation")
         // Protect rows 10..12 (data) -> locks depend on the policy.
         .victim(VictimSpec::row_span(10, 2, 0xA5))
-        .defense(LockerMitigation::new(config, target))
+        .defense(DefenseSpec::Locker { config, target, radius: 1 })
         // A one-off bench driver, not part of the attack zoo: mounted
         // through the builder's custom escape hatch.
         .custom_attack(VictimMix { accesses: 2_000 })

@@ -82,7 +82,7 @@ impl RowTracker for CounterPerRow {
 /// A counter tree over the row-id space.
 #[derive(Debug, Clone)]
 pub struct CounterTree {
-    /// Mitigation threshold at max-depth leaves.
+    /// Targeted-refresh threshold at max-depth leaves.
     threshold: u64,
     /// A node splits into children once it reaches this count.
     split_threshold: u64,

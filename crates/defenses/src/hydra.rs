@@ -5,8 +5,8 @@
 //! state exists. When it crosses, the group "splits": per-row counters
 //! for that group are allocated (backed by DRAM in hardware, cached in
 //! SRAM) and initialized to the group count, and further activations
-//! are tracked exactly. Mitigation fires when a per-row count reaches
-//! the row threshold.
+//! are tracked exactly. A mitigation fires when a per-row count
+//! reaches the row threshold.
 
 use std::collections::HashMap;
 

@@ -177,6 +177,10 @@ impl DefenseHook for RowSwapDefense {
         }
     }
 
+    fn actions(&self) -> u64 {
+        self.swaps
+    }
+
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }

@@ -71,6 +71,10 @@ impl DefenseHook for Shadow {
         "shadow"
     }
 
+    fn actions(&self) -> u64 {
+        self.shuffles()
+    }
+
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }

@@ -43,15 +43,16 @@ pub trait RowTracker: Send {
 #[derive(Debug)]
 pub struct CounterDefenseHook<T> {
     tracker: T,
-    /// Extra latency per request (tracker lookup), cycles.
-    pub check_cycles: u64,
     mitigations: u64,
 }
 
 impl<T: RowTracker> CounterDefenseHook<T> {
+    /// Extra latency per request (tracker lookup), cycles.
+    const CHECK_CYCLES: u64 = 1;
+
     /// Wraps a tracker.
     pub fn new(tracker: T) -> Self {
-        Self { tracker, check_cycles: 1, mitigations: 0 }
+        Self { tracker, mitigations: 0 }
     }
 
     /// The wrapped tracker.
@@ -84,11 +85,15 @@ impl<T: RowTracker + 'static> DefenseHook for CounterDefenseHook<T> {
     }
 
     fn check_latency(&self) -> u64 {
-        self.check_cycles
+        Self::CHECK_CYCLES
     }
 
     fn name(&self) -> &str {
         self.tracker.name()
+    }
+
+    fn actions(&self) -> u64 {
+        self.mitigations
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -138,6 +143,7 @@ mod tests {
             hook.on_activate(row, &mut dram);
         }
         assert_eq!(hook.mitigations(), 2);
+        assert_eq!(hook.actions(), 2);
         // After the last mitigation the hammer count was reset.
         assert_eq!(dram.hammer().count(id), 0);
     }

@@ -9,7 +9,7 @@
 //!   cross-entropy head, all with hand-written backprop;
 //! - [`conv`]: 2-D convolution (im2col forward/backward) and pooling;
 //! - [`network`]: the one float model, [`Network`] — a flat
-//!   [`Layer`](network::Layer) plan with residual-skip markers that
+//!   [`Layer`] plan with residual-skip markers that
 //!   hosts both the MLPs ([`Network::mlp`]) and the CNN topologies;
 //! - [`quant`]: symmetric 8-bit quantization and the
 //!   [`QuantNetwork`] inference network with per-bit weight access —

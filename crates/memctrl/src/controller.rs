@@ -349,7 +349,7 @@ impl MemoryController {
     /// weight fetch). Behaviourally identical to calling
     /// [`MemoryController::service`] per request — same completions,
     /// same statistics, same device state — but every address is
-    /// validated up front (by the same [`MemoryController::prepare`]
+    /// validated up front (by the same `MemoryController::prepare`
     /// head the per-request path uses), so a malformed request is
     /// rejected *before* any request of the batch touches the device,
     /// and the per-request dispatch overhead is paid once.

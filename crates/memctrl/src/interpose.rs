@@ -57,6 +57,13 @@ pub trait DefenseHook: Send {
     /// Short name for reports.
     fn name(&self) -> &str;
 
+    /// Defensive actions taken so far (denies and swaps, targeted
+    /// refreshes, row swaps, shuffles — whatever the defense counts as
+    /// acting). Hooks that never act report zero.
+    fn actions(&self) -> u64 {
+        0
+    }
+
     /// Downcasting support so evaluation harnesses can read a mounted
     /// hook's concrete statistics (swap counts, mitigation counts, …)
     /// after a run. Defenses that expose such statistics return

@@ -7,23 +7,24 @@
 //! Scenario::builder()
 //!     .geometry(..)   // MemCtrlConfig (device + mapping + scheduling)
 //!     .victim(..)     // raw rows, a deployed model, or a paged model
-//!     .attack(..)     // any `Attack` driver
-//!     .defense(..)    // any `Mitigation`, stackable
+//!     .attack(..)     // an `AttackSpec` (or a driver that converts)
+//!     .defense(..)    // a `DefenseSpec`, stackable
 //!     .budget(..)     // activations / iterations
 //!     .build()?       // deploys victims, mounts defenses
 //!     .run()?         // -> RunReport
 //! ```
 //!
-//! Attacks and defenses are uniformly *assignable* components: the
-//! object-safe [`Attack`] trait covers the RowHammer driver
-//! ([`HammerAttack`]), the progressive bit search ([`ProgressiveBfa`],
-//! [`BfaHammerAttack`]), random flips ([`RandomFlipAttack`]), the page
-//! table attack ([`PageTablePoison`]) and benign victim traffic
-//! ([`InferenceStream`]); the [`Mitigation`] trait covers DRAM-Locker
-//! ([`LockerMitigation`]) and every baseline in `dlk-defenses`
-//! ([`TrackerMitigation`], [`RowSwapMitigation`], [`ShadowMitigation`]).
-//! The unified [`RunReport`] carries accuracy deltas, denied/landed
-//! flips, cycles, energy and per-defense mitigation counts.
+//! Attacks run through the object-safe [`Attack`] trait: the RowHammer
+//! driver ([`HammerAttack`]), the progressive bit search
+//! ([`ProgressiveBfa`], [`BfaHammerAttack`]), random flips
+//! ([`RandomFlipAttack`]), the page table attack ([`PageTablePoison`])
+//! and benign victim traffic ([`InferenceStream`]). Defenses are plain
+//! data: each [`DefenseSpec`] variant — DRAM-Locker and every baseline
+//! in `dlk-defenses` — [mounts](DefenseSpec::mount) straight onto the
+//! controller as a `DefenseHook`, and several stack into a
+//! [`HookChain`]. The unified [`RunReport`] carries accuracy deltas,
+//! denied/landed flips, cycles, energy and per-defense action counts
+//! (each hook's `DefenseHook::actions`).
 //!
 //! ## Paper-figure → catalog map
 //!
@@ -77,9 +78,9 @@
 
 pub mod attack;
 pub mod catalog;
+pub mod chain;
 pub mod error;
 pub mod metrics;
-pub mod mitigation;
 pub mod report;
 pub mod scenario;
 pub mod spec;
@@ -91,11 +92,8 @@ pub use crate::attack::{
     RandomFlipAttack, ReplayWorkload, RowProbe, RunEnv,
 };
 pub use crate::catalog::{catalog, find, CatalogEntry, Expected};
+pub use crate::chain::HookChain;
 pub use crate::error::SimError;
-pub use crate::mitigation::{
-    HookChain, LockerMitigation, Mitigation, MountCtx, RowSwapMitigation, ShadowMitigation,
-    TrackerMitigation,
-};
 pub use crate::report::{AttackOutcome, MitigationReport, RunReport, VictimReport};
 pub use crate::scenario::{Budget, Scenario, ScenarioBuilder, ScenarioRun};
 pub use crate::spec::{AttackSpec, DefenseSpec, GeometrySpec, ScenarioSpec};

@@ -59,14 +59,14 @@ impl VictimReport {
     }
 }
 
-/// Defensive actions one mounted mitigation took during the run.
+/// Defensive actions one mounted defense took during the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MitigationReport {
-    /// The mitigation's name.
+    /// The defense's name.
     pub name: String,
-    /// Mitigation-specific action count (denies + swaps for
-    /// DRAM-Locker, targeted refreshes for counter trackers, row swaps
-    /// for RRS/SRS/SHADOW).
+    /// The mounted hook's `DefenseHook::actions`, summed over channels
+    /// (denies + swaps for DRAM-Locker, targeted refreshes for counter
+    /// trackers, row swaps for RRS/SRS, shuffles for SHADOW).
     pub actions: u64,
 }
 

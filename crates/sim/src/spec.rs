@@ -4,7 +4,7 @@
 //! experiment: geometry preset, execution engine, victims and their
 //! home channels, the attack, the defense stack and the budget. Every
 //! part is enum-keyed data — [`AttackSpec`], [`DefenseSpec`],
-//! [`VictimSpec`](crate::VictimSpec) — so specs can be enumerated
+//! [`VictimSpec`] — so specs can be enumerated
 //! (`catalog()`), diffed (`PartialEq`), expanded into grids
 //! ([`SweepGrid`](crate::sweep::SweepGrid)) and persisted.
 //!
@@ -31,20 +31,20 @@
 //! a spec.
 
 use dlk_attacks::bfa::BfaConfig;
-use dlk_defenses::SwapPolicy;
+use dlk_defenses::{
+    CounterDefenseHook, CounterPerRow, Graphene, Hydra, RowSwapDefense, Shadow, SwapPolicy, Twice,
+};
 use dlk_dnn::models::ModelKind;
 use dlk_engine::{EngineConfig, Workload};
-use dlk_locker::{LockTarget, LockerConfig};
-use dlk_memctrl::{MemCtrlConfig, Trace};
+use dlk_locker::{DramLocker, LockTarget, LockerConfig, ProtectionPlan};
+use dlk_memctrl::{AddressMapper, DefenseHook, MemCtrlConfig, Trace};
 
 use crate::error::SimError;
 use crate::scenario::Budget;
 use crate::victim::{SpecKind, VictimSpec};
 
 /// A named device/controller configuration preset. Geometry is keyed
-/// (not free-form) so specs stay diffable and the codec stays exact;
-/// free-form `MemCtrlConfig`s remain available through
-/// [`ScenarioBuilder::custom_geometry`](crate::ScenarioBuilder::custom_geometry).
+/// (not free-form) so specs stay diffable and the codec stays exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum GeometrySpec {
     /// The tiny test geometry, TRH 16 (`MemCtrlConfig::tiny_for_tests`).
@@ -246,8 +246,9 @@ impl From<crate::attack::InferenceStream> for AttackSpec {
     }
 }
 
-/// A defense as enum-keyed data. Each variant resolves to one mounted
-/// [`Mitigation`](crate::Mitigation) when the scenario is built.
+/// A defense as enum-keyed data. [`DefenseSpec::mount`] turns each
+/// variant into the controller hook the scenario mounts on every
+/// channel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DefenseSpec {
     /// DRAM-Locker over the guarded ranges.
@@ -375,6 +376,52 @@ impl DefenseSpec {
             DefenseSpec::RowSwap { policy: SwapPolicy::Secure, .. } => "srs",
             DefenseSpec::Shadow { .. } => "shadow",
         }
+    }
+
+    /// Builds the controller hook for one channel whose victims asked
+    /// for the physical byte ranges in `guarded`. Only DRAM-Locker
+    /// reads the ranges: it locks them through a [`ProtectionPlan`]
+    /// (radius at least 1), and mounts an empty lock table when there
+    /// is nothing to guard.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when a guarded range does not map onto the
+    /// device or the plan overflows the lock table.
+    pub fn mount(
+        &self,
+        mapper: &AddressMapper,
+        guarded: &[(u64, u64)],
+    ) -> Result<Box<dyn DefenseHook>, SimError> {
+        Ok(match *self {
+            DefenseSpec::Locker { config, target, radius } => {
+                let mut locker = DramLocker::new(config, *mapper.geometry());
+                if !guarded.is_empty() {
+                    let mut plan = ProtectionPlan::new(target).with_radius(radius.max(1));
+                    for &(start, end) in guarded {
+                        plan.protect_range(mapper, start, end)?;
+                    }
+                    plan.apply(&mut locker)?;
+                }
+                Box::new(locker)
+            }
+            DefenseSpec::Graphene { capacity, threshold } => {
+                Box::new(CounterDefenseHook::new(Graphene::new(capacity, threshold)))
+            }
+            DefenseSpec::Hydra { group_size, group_threshold, row_threshold } => Box::new(
+                CounterDefenseHook::new(Hydra::new(group_size, group_threshold, row_threshold)),
+            ),
+            DefenseSpec::Twice { threshold, prune_interval, prune_rate } => {
+                Box::new(CounterDefenseHook::new(Twice::new(threshold, prune_interval, prune_rate)))
+            }
+            DefenseSpec::CounterPerRow { threshold } => {
+                Box::new(CounterDefenseHook::new(CounterPerRow::new(threshold)))
+            }
+            DefenseSpec::RowSwap { policy, threshold, seed } => {
+                Box::new(RowSwapDefense::new(policy, threshold, seed))
+            }
+            DefenseSpec::Shadow { threshold, seed } => Box::new(Shadow::new(threshold, seed)),
+        })
     }
 }
 
@@ -951,18 +998,19 @@ fn parse_lock_target(line: usize, token: &str) -> Result<LockTarget, SimError> {
 
 fn write_defense(out: &mut String, defense: &DefenseSpec) {
     match defense {
+        // `lock-target` repeats `target`: the text format predates the
+        // spec owning the lock target alone.
         DefenseSpec::Locker { config, target, radius } => out.push_str(&format!(
-            "defense dram-locker target={} radius={radius} relock={} table={} entry={} \
-             check={} copy-err={} free={} lock-target={} seed={}\n",
-            lock_target_token(*target),
+            "defense dram-locker target={target} radius={radius} relock={} table={} entry={} \
+             check={} copy-err={} free={} lock-target={target} seed={}\n",
             config.relock_interval,
             config.table_capacity_bytes,
             config.entry_bytes,
             config.check_cycles,
             config.copy_error_rate,
             config.free_rows_per_subarray,
-            lock_target_token(config.lock_target),
             config.seed,
+            target = lock_target_token(*target),
         )),
         DefenseSpec::Graphene { capacity, threshold } => out.push_str(&format!(
             "defense graphene capacity={capacity} threshold={threshold}\n"
@@ -991,20 +1039,31 @@ fn write_defense(out: &mut String, defense: &DefenseSpec) {
 
 fn parse_defense(line: usize, kind: &str, fields: &Fields<'_>) -> Result<DefenseSpec, SimError> {
     Ok(match kind {
-        "dram-locker" => DefenseSpec::Locker {
-            config: LockerConfig {
+        "dram-locker" => {
+            let config = LockerConfig {
                 relock_interval: fields.num("relock")?,
                 table_capacity_bytes: fields.num("table")?,
                 entry_bytes: fields.num("entry")?,
                 check_cycles: fields.num("check")?,
                 copy_error_rate: fields.float("copy-err")?,
                 free_rows_per_subarray: fields.num("free")?,
-                lock_target: parse_lock_target(line, fields.get("lock-target")?)?,
                 seed: fields.num("seed")?,
-            },
-            target: parse_lock_target(line, fields.get("target")?)?,
-            radius: fields.num("radius")?,
-        },
+            };
+            // `lock-target` duplicates `target` (see `write_defense`);
+            // a line where the two disagree is ambiguous.
+            let (target, lock_target) = (fields.get("target")?, fields.get("lock-target")?);
+            if lock_target != target {
+                return Err(parse_error(
+                    line,
+                    &format!("lock-target={lock_target} conflicts with target={target}"),
+                ));
+            }
+            DefenseSpec::Locker {
+                config,
+                target: parse_lock_target(line, target)?,
+                radius: fields.num("radius")?,
+            }
+        }
         "graphene" => DefenseSpec::Graphene {
             capacity: fields.num("capacity")?,
             threshold: fields.num("threshold")?,
@@ -1041,6 +1100,12 @@ fn parse_defense(line: usize, kind: &str, fields: &Fields<'_>) -> Result<Defense
 mod tests {
     use super::*;
     use crate::victim::VictimSpec;
+    use dlk_defenses::RowTracker;
+    use dlk_dram::{DramConfig, DramDevice, DramGeometry, RowAddr};
+    use dlk_memctrl::{HookAction, MappingScheme, MemRequest};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::any::Any;
 
     fn rich_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -1169,6 +1234,116 @@ mod tests {
         assert!(err.to_string().contains("outside"), "{err}");
         let err = ScenarioSpec::from_text("op R 0x0 1\n").unwrap_err();
         assert!(err.to_string().contains("outside"), "{err}");
+    }
+
+    #[test]
+    fn conflicting_lock_target_is_a_parse_error() {
+        let mut spec = ScenarioSpec::new("locked");
+        spec.defenses.push(DefenseSpec::locker_adjacent());
+        let text = spec.to_text();
+        assert!(text.contains("target=adjacent ") && text.contains("lock-target=adjacent "));
+        let line = 1 + text.lines().position(|l| l.starts_with("defense")).unwrap();
+        let err =
+            ScenarioSpec::from_text(&text.replace("lock-target=adjacent", "lock-target=data"))
+                .unwrap_err();
+        assert!(matches!(err, SimError::SpecParse { line: l, .. } if l == line), "{err}");
+        assert!(
+            err.to_string().contains("lock-target=data conflicts with target=adjacent"),
+            "{err}"
+        );
+    }
+
+    fn tiny_mapper() -> AddressMapper {
+        AddressMapper::new(DramGeometry::tiny(), MappingScheme::BankSequential)
+    }
+
+    /// Drives a seeded stream of trusted and untrusted reads over rows
+    /// 0..16 through `hook`, activating every row it does not deny.
+    fn drive(hook: &mut dyn DefenseHook, seed: u64) {
+        let mut dram = DramDevice::new(DramConfig::tiny_for_tests());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..512 {
+            let row = rng.random_range(0u32..16);
+            let mut request = MemRequest::read(u64::from(row) * 64, 1);
+            if rng.random_bool(0.5) {
+                request = request.untrusted();
+            }
+            let target = RowAddr::new(0, 0, row);
+            match hook.before_access(&request, target, &mut dram) {
+                HookAction::Deny => {}
+                HookAction::Allow => hook.on_activate(target, &mut dram),
+                HookAction::Redirect(to) => hook.on_activate(to, &mut dram),
+            }
+        }
+    }
+
+    #[test]
+    fn locker_mounts_empty_without_guarded_ranges() {
+        let hook = DefenseSpec::locker_adjacent().mount(&tiny_mapper(), &[]).unwrap();
+        assert_eq!(hook.name(), "dram-locker");
+        assert_eq!(hook.actions(), 0);
+        let locker = hook.as_any().unwrap().downcast_ref::<DramLocker>().unwrap();
+        assert!(locker.lock_table().is_empty());
+    }
+
+    #[test]
+    fn locker_guards_ranges_through_the_plan() {
+        let guarded = [(10 * 64u64, 11 * 64u64)];
+        let radius_zero = DefenseSpec::Locker {
+            config: LockerConfig::default(),
+            target: LockTarget::AdjacentRows,
+            radius: 0,
+        };
+        for spec in [DefenseSpec::locker_adjacent(), radius_zero] {
+            let hook = spec.mount(&tiny_mapper(), &guarded).unwrap();
+            let locker = hook.as_any().unwrap().downcast_ref::<DramLocker>().unwrap();
+            assert_eq!(locker.lock_table().len(), 2, "two neighbours of row 10 ({spec:?})");
+        }
+    }
+
+    #[test]
+    fn tracker_mount_reports_refreshes() {
+        let mut hook = DefenseSpec::graphene(64, 4).mount(&tiny_mapper(), &[]).unwrap();
+        let mut dram = DramDevice::new(DramConfig::tiny_for_tests());
+        let row = RowAddr::new(0, 0, 5);
+        for _ in 0..16 {
+            hook.on_activate(row, &mut dram);
+        }
+        assert!(hook.actions() > 0);
+    }
+
+    #[test]
+    fn every_defense_kind_reports_its_typed_counter_as_actions() {
+        /// Reads a hook's own action counter through its concrete type.
+        type TypedCounter = fn(&dyn Any) -> u64;
+        fn tracker<T: RowTracker + 'static>(any: &dyn Any) -> u64 {
+            any.downcast_ref::<CounterDefenseHook<T>>().unwrap().mitigations()
+        }
+        fn row_swap(any: &dyn Any) -> u64 {
+            any.downcast_ref::<RowSwapDefense>().unwrap().swaps()
+        }
+        let kinds: [(DefenseSpec, TypedCounter); 8] = [
+            (DefenseSpec::locker_adjacent(), |any| {
+                let stats = any.downcast_ref::<DramLocker>().unwrap().stats();
+                stats.denies + stats.swaps
+            }),
+            (DefenseSpec::graphene(64, 4), tracker::<Graphene>),
+            (DefenseSpec::hydra(16, 4, 8), tracker::<Hydra>),
+            (DefenseSpec::twice(4, 64, 1), tracker::<Twice>),
+            (DefenseSpec::counter_per_row(4), tracker::<CounterPerRow>),
+            (DefenseSpec::rrs(4, 5), row_swap),
+            (DefenseSpec::srs(4, 5), row_swap),
+            (DefenseSpec::shadow(4, 5), |any| any.downcast_ref::<Shadow>().unwrap().shuffles()),
+        ];
+        let guarded = [(10 * 64u64, 11 * 64u64)];
+        for (spec, typed) in kinds {
+            let mut hook = spec.mount(&tiny_mapper(), &guarded).unwrap();
+            assert_eq!(hook.name(), spec.name());
+            drive(hook.as_mut(), 7);
+            let actions = hook.actions();
+            assert!(actions > 0, "{} never acted", spec.name());
+            assert_eq!(actions, typed(hook.as_any().unwrap()), "{}", spec.name());
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! the argument for the adjacent-row policy in §IV-A.
 
 use dlk_dnn::models::ModelKind;
-use dlk_locker::LockTarget;
-use dlk_sim::{InferenceStream, LockerMitigation, Scenario, SimError, VictimSpec};
+use dlk_locker::{LockTarget, LockerConfig};
+use dlk_sim::{DefenseSpec, InferenceStream, Scenario, SimError, VictimSpec};
 
 use crate::report::Table;
 
@@ -37,13 +37,13 @@ fn stream_weights(lock_target: Option<LockTarget>) -> Result<OverheadRun, SimErr
         .label(label.clone())
         .victim(VictimSpec::model(ModelKind::Tiny, 3, 0x400))
         .attack(InferenceStream { batches: 10, chunk: 32 });
-    builder = match lock_target {
-        None => builder,
-        Some(LockTarget::AdjacentRows) => builder.defense(LockerMitigation::adjacent()),
-        Some(LockTarget::DataRows) => builder.defense(LockerMitigation::data_rows()),
-        Some(LockTarget::Both) => builder
-            .defense(LockerMitigation::new(dlk_locker::LockerConfig::default(), LockTarget::Both)),
-    };
+    if let Some(target) = lock_target {
+        builder = builder.defense(DefenseSpec::Locker {
+            config: LockerConfig::default(),
+            target,
+            radius: 1,
+        });
+    }
     let report = builder.build()?.run()?;
     Ok(OverheadRun {
         label,

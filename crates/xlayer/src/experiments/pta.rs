@@ -1,6 +1,6 @@
 //! §V: the Page Table Attack evaluation.
 //!
-//! End-to-end through the unified [`Scenario`](dlk_sim::Scenario)
+//! End-to-end through the unified [`Scenario`]
 //! pipeline: the victim's quantized weights live in physical frames
 //! mapped by a DRAM-resident page table ([`VictimSpec::paged`]); the
 //! attacker stages a corrupted copy of a weight page at the frame the
@@ -12,7 +12,7 @@
 
 use dlk_dnn::models::ModelKind;
 use dlk_sim::{
-    Budget, LockerMitigation, PageTablePoison, Scenario, ScenarioBuilder, SimError, VictimSpec,
+    Budget, DefenseSpec, PageTablePoison, Scenario, ScenarioBuilder, SimError, VictimSpec,
 };
 
 use crate::report::Table;
@@ -41,7 +41,7 @@ pub fn scenario(defended: bool) -> ScenarioBuilder {
         .budget(Budget { max_activations: 20_000, check_interval: 8, iterations: 1 })
         .eval_batch(64);
     if defended {
-        builder.defense(LockerMitigation::adjacent())
+        builder.defense(DefenseSpec::locker_adjacent())
     } else {
         builder
     }

@@ -35,7 +35,7 @@ fn no_defense_fails() {
 
 #[test]
 fn graphene_prevents_the_flip() {
-    // Mitigation threshold below TRH=16.
+    // Refresh threshold below TRH=16.
     let report = campaign(Some(DefenseSpec::graphene(64, 8)));
     assert_eq!(report.landed_flips, 0, "{report:?}");
     assert!(report.mitigation_total() > 0, "graphene must have refreshed: {report:?}");

@@ -143,8 +143,6 @@ fn generated_defense(rng: &mut StdRng) -> DefenseSpec {
                 check_cycles: rng.random_range(0u64..8),
                 copy_error_rate: rng.random_range(0u64..u64::MAX) as f64 / u64::MAX as f64,
                 free_rows_per_subarray: rng.random_range(1u32..16),
-                lock_target: [LockTarget::AdjacentRows, LockTarget::DataRows, LockTarget::Both]
-                    [rng.random_range(0usize..3)],
                 seed: rng.random_range(0u64..u64::MAX),
             },
             target: [LockTarget::AdjacentRows, LockTarget::DataRows, LockTarget::Both]
