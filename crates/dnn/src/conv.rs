@@ -236,12 +236,23 @@ impl Conv2d {
     ///
     /// Returns [`DnnError::ShapeMismatch`] on wrong input width.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, DnnError> {
+        self.forward_transposed(x, &self.weight.transposed())
+    }
+
+    /// [`Conv2d::forward`] with the kernel matrix already transposed to
+    /// `(in_c·k·k, out_c)`, for callers that run one layer many times.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::ShapeMismatch`] on wrong input width.
+    pub fn forward_transposed(&self, x: &Tensor, weight_t: &Tensor) -> Result<Tensor, DnnError> {
+        debug_assert_eq!(weight_t.shape(), (self.spec.patch_len(), self.spec.out_c));
         self.check_input(x)?;
         let s = &self.spec;
         let (oh, ow) = (s.out_h(), s.out_w());
         let cols = self.im2col(x);
         // (batch·oh·ow, out_c)
-        let y = cols.matmul_transpose(&self.weight)?;
+        let y = cols.matmul(weight_t)?;
         let mut out = Tensor::zeros(x.rows(), s.out_features());
         let data = out.as_mut_slice();
         for b in 0..x.rows() {

@@ -86,14 +86,54 @@ impl Linear {
     ///
     /// Returns [`DnnError::ShapeMismatch`] on wrong input width.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, DnnError> {
-        let mut y = x.matmul_transpose(&self.weight)?;
-        for row in 0..y.rows() {
-            for col in 0..y.cols() {
-                let v = y.get(row, col) + self.bias[col];
-                y.set(row, col, v);
+        self.forward_transposed(x, &self.weight.transposed())
+    }
+
+    /// [`Linear::forward`] with the weight matrix already transposed
+    /// to `(in, out)`, for callers that run one layer many times.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::ShapeMismatch`] on wrong input width.
+    pub fn forward_transposed(&self, x: &Tensor, weight_t: &Tensor) -> Result<Tensor, DnnError> {
+        debug_assert_eq!(weight_t.shape(), (self.in_features(), self.out_features()));
+        let mut y = x.matmul(weight_t)?;
+        if !self.bias.is_empty() {
+            for row in y.as_mut_slice().chunks_exact_mut(self.bias.len()) {
+                for (v, b) in row.iter_mut().zip(&self.bias) {
+                    *v += b;
+                }
             }
         }
         Ok(y)
+    }
+
+    /// Rewrites output column `out` of `y`, a [`Linear::forward`]
+    /// result on `x`, as if row `out` of the weight matrix were
+    /// `weight_row` — bit-identical to re-running the forward pass with
+    /// that row, since [`Tensor::matvec`] accumulates in the GEMM
+    /// kernel's order and the bias is added last, as there.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::ShapeMismatch`] if `weight_row` is not
+    /// `in_features` long.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is out of range or `y` is not `(x.rows(), out_features)`.
+    pub fn rewrite_column(
+        &self,
+        x: &Tensor,
+        out: usize,
+        weight_row: &[f32],
+        y: &mut Tensor,
+    ) -> Result<(), DnnError> {
+        assert_eq!(y.shape(), (x.rows(), self.out_features()), "y is this layer's output on x");
+        for (row, value) in x.matvec(weight_row)?.into_iter().enumerate() {
+            y.set(row, out, value + self.bias[out]);
+        }
+        Ok(())
     }
 
     /// Backward pass. Given upstream gradient `d_out (batch, out)` and
@@ -107,9 +147,11 @@ impl Linear {
         let d_weight = d_out.transpose_matmul(x)?;
         // db = column sums of d_out.
         let mut d_bias = vec![0.0f32; self.out_features()];
-        for row in 0..d_out.rows() {
-            for (col, db) in d_bias.iter_mut().enumerate() {
-                *db += d_out.get(row, col);
+        if !d_bias.is_empty() {
+            for row in d_out.as_slice().chunks_exact(d_bias.len()) {
+                for (db, &g) in d_bias.iter_mut().zip(row) {
+                    *db += g;
+                }
             }
         }
         // dX = d_out × W  (batch, in)
@@ -198,6 +240,21 @@ mod tests {
         let x = Tensor::from_rows(&[&[1.0, 2.0]]);
         let y = layer.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[11.0, 22.0]);
+    }
+
+    #[test]
+    fn backward_bias_gradient_is_the_column_sum() {
+        let layer = Linear::new(2, 3, 5);
+        let x = Tensor::randn(4, 2, 6);
+        let d_out = Tensor::randn(4, 3, 7);
+        let (grads, _) = layer.backward(&x, &d_out).unwrap();
+        for (col, &db) in grads.bias.iter().enumerate() {
+            let mut sum = 0.0f32;
+            for row in 0..4 {
+                sum += d_out.get(row, col);
+            }
+            assert_eq!(db, sum);
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! - [`conv`]: 2-D convolution (im2col forward/backward) and pooling;
 //! - [`network`]: the one float model, [`Network`] — a flat
 //!   [`Layer`] plan with residual-skip markers that
-//!   hosts both the MLPs ([`Network::mlp`]) and the CNN topologies;
+//!   hosts both the MLPs ([`Network::mlp`]) and the CNN topologies,
+//!   plus [`Network::trace`], which keeps one forward + backward pass
+//!   to re-run the network from any weighted layer with one weight
+//!   changed (the inner loop of progressive bit search);
 //! - [`quant`]: symmetric 8-bit quantization and the
 //!   [`QuantNetwork`] inference network with per-bit weight access —
 //!   the attack surface of BFA, for dense *and* conv kernels;

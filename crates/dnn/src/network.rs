@@ -98,6 +98,42 @@ pub struct Network {
     layers: Vec<Layer>,
 }
 
+/// The forward state a [`Trace`] keeps at one weighted layer: enough to
+/// re-run the network from that layer with one of its weights changed.
+#[derive(Debug)]
+struct Checkpoint {
+    /// Plan index of the layer.
+    step: usize,
+    /// Activation entering the layer.
+    input: Tensor,
+    /// Activation leaving it.
+    output: Tensor,
+    /// Residual shortcuts open at the layer, innermost last.
+    skips: Vec<Tensor>,
+}
+
+/// A forward + backward pass kept for re-running the network with one
+/// weight changed ([`Trace::forward_with_weight`]) — the loop of
+/// progressive bit search, which trials many single-weight changes on
+/// one batch. Built by [`Network::trace`].
+#[derive(Debug)]
+pub struct Trace<'a> {
+    network: &'a Network,
+    grads: Vec<LayerGrads>,
+    checkpoints: Vec<Checkpoint>,
+    /// Per plan step, the weight matrix transposed (weighted steps
+    /// only): transposed once here instead of once per re-run.
+    transposed: Vec<Option<Tensor>>,
+}
+
+/// What a forward pass records: one [`Cache`] per plan step for
+/// backprop and, when tracing, one [`Checkpoint`] per weighted layer.
+#[derive(Default)]
+struct Tape {
+    caches: Vec<Cache>,
+    checkpoints: Option<Vec<Checkpoint>>,
+}
+
 /// Per-layer forward state kept for the backward pass.
 enum Cache {
     /// The layer's input activation (weighted layers).
@@ -228,23 +264,39 @@ impl Network {
     /// Returns [`DnnError::ShapeMismatch`] on wrong input width and
     /// [`DnnError::UnbalancedSkip`] for mismatched skip markers.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, DnnError> {
-        self.run(x, None)
+        self.forward_from(0, x.clone(), Vec::new(), &[], None)
     }
 
-    /// Forward with optional per-layer caches for backprop.
-    fn run(&self, x: &Tensor, mut caches: Option<&mut Vec<Cache>>) -> Result<Tensor, DnnError> {
-        let mut act = x.clone();
-        let mut skips: Vec<Tensor> = Vec::new();
-        for layer in &self.layers {
+    /// The one forward implementation: runs plan steps `start..` on
+    /// activation `act` with the residual shortcuts `skips` open
+    /// (innermost last). `transposed[step]`, where present, is that
+    /// step's weight matrix transposed, saving the layer a transpose;
+    /// `tape` records what backprop and [`Trace`] need.
+    fn forward_from(
+        &self,
+        start: usize,
+        mut act: Tensor,
+        mut skips: Vec<Tensor>,
+        transposed: &[Option<Tensor>],
+        mut tape: Option<&mut Tape>,
+    ) -> Result<Tensor, DnnError> {
+        for (step, layer) in self.layers.iter().enumerate().skip(start) {
+            let weight_t = transposed.get(step).and_then(Option::as_ref);
             let cache = match layer {
                 Layer::Dense(l) => {
                     let input = act;
-                    act = l.forward(&input)?;
+                    act = match weight_t {
+                        Some(t) => l.forward_transposed(&input, t)?,
+                        None => l.forward(&input)?,
+                    };
                     Cache::Input(input)
                 }
                 Layer::Conv(c) => {
                     let input = act;
-                    act = c.forward(&input)?;
+                    act = match weight_t {
+                        Some(t) => c.forward_transposed(&input, t)?,
+                        None => c.forward(&input)?,
+                    };
                     Cache::Input(input)
                 }
                 Layer::Relu => {
@@ -271,8 +323,12 @@ impl Network {
                     Cache::None
                 }
             };
-            if let Some(caches) = caches.as_deref_mut() {
-                caches.push(cache);
+            if let Some(tape) = tape.as_deref_mut() {
+                if let (Some(checkpoints), Cache::Input(input)) = (&mut tape.checkpoints, &cache) {
+                    let (input, output, skips) = (input.clone(), act.clone(), skips.clone());
+                    checkpoints.push(Checkpoint { step, input, output, skips });
+                }
+                tape.caches.push(cache);
             }
         }
         if skips.is_empty() {
@@ -294,14 +350,41 @@ impl Network {
         x: &Tensor,
         labels: &[usize],
     ) -> Result<(f32, Vec<LayerGrads>), DnnError> {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let logits = self.run(x, Some(&mut caches))?;
+        self.backprop(x, labels, &[], &mut Tape::default())
+    }
+
+    /// [`Network::loss_and_grads`], keeping what
+    /// [`Trace::forward_with_weight`] needs to re-run the network from
+    /// any weighted layer: every weight matrix transposed once, and each
+    /// weighted layer's input, output and open residual shortcuts.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Network::loss_and_grads`].
+    pub fn trace(&self, x: &Tensor, labels: &[usize]) -> Result<Trace<'_>, DnnError> {
+        let transposed: Vec<Option<Tensor>> =
+            self.layers.iter().map(|layer| layer.weight().map(Tensor::transposed)).collect();
+        let mut tape = Tape { caches: Vec::new(), checkpoints: Some(Vec::new()) };
+        let (_, grads) = self.backprop(x, labels, &transposed, &mut tape)?;
+        let checkpoints = tape.checkpoints.unwrap_or_default();
+        Ok(Trace { network: self, grads, checkpoints, transposed })
+    }
+
+    fn backprop(
+        &self,
+        x: &Tensor,
+        labels: &[usize],
+        transposed: &[Option<Tensor>],
+        tape: &mut Tape,
+    ) -> Result<(f32, Vec<LayerGrads>), DnnError> {
+        tape.caches.reserve(self.layers.len());
+        let logits = self.forward_from(0, x.clone(), Vec::new(), transposed, Some(tape))?;
         let (loss, probs) = softmax_cross_entropy(&logits, labels);
         let mut d = cross_entropy_grad(&probs, labels);
 
         let mut grads_rev: Vec<LayerGrads> = Vec::with_capacity(self.weighted_count());
         let mut skip_grads: Vec<Tensor> = Vec::new();
-        for (layer, cache) in self.layers.iter().zip(&caches).rev() {
+        for (layer, cache) in self.layers.iter().zip(&tape.caches).rev() {
             match (layer, cache) {
                 (Layer::Dense(l), Cache::Input(input)) => {
                     let (g, d_x) = l.backward(input, &d)?;
@@ -386,6 +469,54 @@ impl Network {
         let predictions = self.predict(x)?;
         let correct = predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
         Ok(correct as f64 / labels.len().max(1) as f64)
+    }
+}
+
+impl Trace<'_> {
+    /// One [`LayerGrads`] per weighted layer, as
+    /// [`Network::loss_and_grads`] returns them.
+    pub fn grads(&self) -> &[LayerGrads] {
+        &self.grads
+    }
+
+    /// Logits of the traced batch with weight `weight` (flat index into
+    /// the weight matrix) of weighted layer `layer` set to `value` —
+    /// bit-identical to [`Network::forward`] on a copy of the network
+    /// with that weight changed. Only the changed layer and the layers
+    /// after it run: a dense layer rewrites just the changed output
+    /// column ([`Linear::rewrite_column`]), a convolution re-runs on
+    /// its recorded input, and the later layers reuse the transposes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::BadWeightIndex`] for an out-of-range
+    /// `layer` or `weight`.
+    pub fn forward_with_weight(
+        &self,
+        layer: usize,
+        weight: usize,
+        value: f32,
+    ) -> Result<Tensor, DnnError> {
+        let bad = || DnnError::BadWeightIndex { layer, index: weight };
+        let at = self.checkpoints.get(layer).ok_or_else(bad)?;
+        let output = match (&self.network.layers[at.step], &self.transposed[at.step]) {
+            (Layer::Dense(l), _) if weight < l.weight().len() => {
+                let (row, col) = (weight / l.in_features(), weight % l.in_features());
+                let mut weight_row = l.weight().row(row).to_vec();
+                weight_row[col] = value;
+                let mut output = at.output.clone();
+                l.rewrite_column(&at.input, row, &weight_row, &mut output)?;
+                output
+            }
+            (Layer::Conv(c), Some(weight_t)) if weight < c.weight().len() => {
+                let (row, col) = (weight / c.spec().patch_len(), weight % c.spec().patch_len());
+                let mut changed = weight_t.clone();
+                changed.set(col, row, value);
+                c.forward_transposed(&at.input, &changed)?
+            }
+            _ => return Err(bad()),
+        };
+        self.network.forward_from(at.step + 1, output, at.skips.clone(), &self.transposed, None)
     }
 }
 
@@ -649,6 +780,37 @@ mod tests {
         }
         assert!(last < first * 0.5, "loss {first} -> {last}");
         assert!(net.accuracy(&x, &labels).unwrap() > 0.9);
+    }
+
+    #[test]
+    fn trace_reruns_match_a_full_forward_with_the_weight_changed() {
+        // An MLP (zero ReLU outputs exercise the zero skip), and a CNN
+        // whose convs sit inside a residual block, ahead of a max-pool.
+        for net in [Network::mlp(&[5, 9, 4, 3], 3), tiny_residual_cnn(7)] {
+            let x = Tensor::randn(6, net.in_features(), 8);
+            let labels = [0, 1, 0, 1, 1, 0];
+            let trace = net.trace(&x, &labels).unwrap();
+            assert_eq!(trace.grads(), net.loss_and_grads(&x, &labels).unwrap().1);
+            let steps: Vec<usize> =
+                (0..net.layers().len()).filter(|&step| net.layers()[step].is_weighted()).collect();
+            for (layer, &step) in steps.iter().enumerate() {
+                let n = net.layers()[step].num_weights();
+                for weight in [0, n / 2, n - 1] {
+                    for value in [-1.5f32, 0.0, 3.25] {
+                        let mut changed = net.clone();
+                        changed.layers_mut()[step].weight_mut().unwrap().as_mut_slice()[weight] =
+                            value;
+                        assert_eq!(
+                            trace.forward_with_weight(layer, weight, value).unwrap(),
+                            changed.forward(&x).unwrap(),
+                            "weighted layer {layer}, weight {weight} = {value}"
+                        );
+                    }
+                }
+                assert!(trace.forward_with_weight(layer, n, 1.0).is_err());
+            }
+            assert!(trace.forward_with_weight(steps.len(), 0, 1.0).is_err());
+        }
     }
 
     #[test]

@@ -142,15 +142,54 @@ impl Tensor {
     /// The explicit transpose `(cols, rows)` — the bridge that lets
     /// every matrix-product variant run through the one blocked GEMM
     /// kernel.
+    ///
+    /// Each pass over the source rows fills a strip of output rows
+    /// sized from the row count (`transpose_strip`), so the output
+    /// lines it keeps open stay cached; a matrix narrower than its
+    /// strip takes a single pass, the plain row-by-row loop.
     pub fn transposed(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (j, &value) in row.iter().enumerate() {
-                out.data[j * self.rows + i] = value;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Tensor::zeros(cols, rows);
+        let strip = transpose_strip(rows);
+        for j0 in (0..cols).step_by(strip) {
+            let j1 = (j0 + strip).min(cols);
+            for i in 0..rows {
+                for (dj, &value) in self.data[i * cols + j0..i * cols + j1].iter().enumerate() {
+                    out.data[(j0 + dj) * rows + i] = value;
+                }
             }
         }
         out
+    }
+
+    /// Matrix-vector product `self (m,k) × v (k) -> (m)`, each entry
+    /// bit-identical to the matching output column of
+    /// [`Tensor::matmul_transpose`] (or [`Tensor::matmul`] against a
+    /// column equal to `v`): it accumulates in `gemm_acc`'s order,
+    /// ascending `k` from `+0.0`, skipping zero entries of `self`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::ShapeMismatch`] if `v.len() != self.cols()`.
+    pub fn matvec(&self, v: &[f32]) -> Result<Vec<f32>, DnnError> {
+        if v.len() != self.cols {
+            return Err(DnnError::ShapeMismatch {
+                op: "matvec",
+                lhs: self.shape(),
+                rhs: (v.len(), 1),
+            });
+        }
+        Ok((0..self.rows)
+            .map(|i| {
+                let mut acc = 0.0f32;
+                for (&a, &b) in self.row(i).iter().zip(v) {
+                    if a != 0.0 {
+                        acc += a * b;
+                    }
+                }
+                acc
+            })
+            .collect())
     }
 
     /// Matrix product `self (m,k) × other (k,n) -> (m,n)` via the
@@ -335,6 +374,18 @@ impl Tensor {
     }
 }
 
+/// Output rows one [`Tensor::transposed`] pass fills. Output rows lie
+/// `rows · 4` bytes apart, so when that stride is a multiple of a large
+/// power of two their cache lines crowd into a few of the 64 sets of a
+/// 4 KiB-span L1 (64-byte lines): a stride aligned to `2^a` bytes
+/// reaches `4096 / 2^a` sets. The strip keeps the open lines within 8
+/// ways of those sets — 512 rows for an unaligned stride, 32 for a
+/// 1 KiB one (a 256-row matrix), 8 at 4 KiB and beyond.
+fn transpose_strip(rows: usize) -> usize {
+    let align = (rows * 4).trailing_zeros().clamp(6, 12);
+    8 << (12 - align)
+}
+
 /// `k`-block width of the shared GEMM kernel: a 256-element slice of a
 /// `b` row is 1 KiB, so one block of `b` rows stays resident in L1/L2
 /// while the `i` loop streams over it.
@@ -484,6 +535,44 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t.as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
         assert_eq!(t.transposed(), a);
+    }
+
+    #[test]
+    fn transposed_in_several_strips_matches_elementwise() {
+        // 256 rows → 32-row strips, 1024 → 8, 64 → 128: each of these
+        // takes several passes; the small shapes take one.
+        for (rows, cols) in [(0, 5), (5, 0), (3, 7), (64, 200), (256, 70), (1024, 20)] {
+            let a = Tensor::randn(rows, cols, 5);
+            let t = a.transposed();
+            assert_eq!(t.shape(), (cols, rows));
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(t.get(j, i), a.get(i, j), "{rows}x{cols} at ({i}, {j})");
+                }
+            }
+        }
+        let strips: Vec<usize> = [100, 64, 192, 256, 1024, 4096].map(transpose_strip).to_vec();
+        assert_eq!(strips, [512, 128, 128, 32, 8, 8]);
+    }
+
+    #[test]
+    fn matvec_is_bit_exact_with_a_gemm_column() {
+        // k = 300 spans two GEMM k-blocks; zeros exercise the skip.
+        let mut a = Tensor::randn(9, 300, 31);
+        for i in 0..9 {
+            for k in (i..300).step_by(4) {
+                a.set(i, k, 0.0);
+            }
+        }
+        let w = Tensor::randn(4, 300, 32);
+        let full = a.matmul_transpose(&w).unwrap();
+        for j in 0..4 {
+            let column = a.matvec(w.row(j)).unwrap();
+            for (i, value) in column.into_iter().enumerate() {
+                assert_eq!(value.to_bits(), full.get(i, j).to_bits(), "({i}, {j})");
+            }
+        }
+        assert!(a.matvec(&[0.0; 3]).is_err());
     }
 
     /// Shapes chosen to hit every kernel corner: empty, 1×1, sizes
