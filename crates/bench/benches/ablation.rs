@@ -7,9 +7,10 @@
 //! - scheduling policy (FCFS vs FR-FCFS) under a locked-row mix.
 //!
 //! The victim-workload ablations run through the unified scenario
-//! pipeline with a custom benign [`Attack`] driver; the artifact prints
-//! once, outside the measured closures. The scheduling group benches
-//! the raw request queue (a primitive, not a scenario).
+//! pipeline: a scenario with no attack, whose controller the bench
+//! drives with a benign victim mix before the run reports. The artifact
+//! prints once, outside the measured closures. The scheduling group
+//! benches the raw request queue (a primitive, not a scenario).
 
 use std::sync::Once;
 
@@ -18,53 +19,30 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dlk_bench::print_once;
 use dlk_locker::{LockTarget, LockerConfig};
 use dlk_memctrl::{MemCtrlConfig, MemRequest, MemoryController, SchedulingPolicy};
-use dlk_sim::{Attack, AttackOutcome, DefenseSpec, RunEnv, Scenario, SimError, VictimSpec};
+use dlk_sim::{DefenseSpec, Scenario, VictimSpec};
 
 static ARTIFACT: Once = Once::new();
-
-/// Victim workload: mixed reads over its data rows plus periodic
-/// touches of a locked neighbour row.
-struct VictimMix {
-    accesses: u64,
-}
-
-impl Attack for VictimMix {
-    fn name(&self) -> &str {
-        "victim-mix"
-    }
-
-    fn execute(&mut self, env: &mut RunEnv<'_>) -> Result<AttackOutcome, SimError> {
-        let row_bytes = env.ctrl().geometry().row_bytes as u64;
-        let mut outcome = AttackOutcome::default();
-        // 2000 accesses: mostly data rows 10/11, every 10th hits the
-        // locked neighbour row 9.
-        for index in 0..self.accesses {
-            let row = if index % 10 == 0 { 9 } else { 10 + index % 2 };
-            let done = env.ctrl().service(MemRequest::read(row * row_bytes, 1))?;
-            outcome.requests += 1;
-            if done.denied {
-                outcome.denied += 1;
-            }
-        }
-        Ok(outcome)
-    }
-}
 
 /// Returns (redirects, denies, mean latency) for one configuration.
 fn victim_workload(relock_interval: u64, target: LockTarget) -> (u64, u64, f64) {
     let config = LockerConfig { relock_interval, ..LockerConfig::default() };
-    let report = Scenario::builder()
+    let mut run = Scenario::builder()
         .label("ablation")
         // Protect rows 10..12 (data) -> locks depend on the policy.
         .victim(VictimSpec::row_span(10, 2, 0xA5))
         .defense(DefenseSpec::Locker { config, target, radius: 1 })
-        // A one-off bench driver, not part of the attack zoo: mounted
-        // through the builder's custom escape hatch.
-        .custom_attack(VictimMix { accesses: 2_000 })
         .build()
-        .expect("scenario builds")
-        .run()
-        .expect("workload runs");
+        .expect("scenario builds");
+    // Victim workload: 2000 reads, mostly data rows 10/11; every 10th
+    // touches the locked neighbour row 9. The report's controller
+    // statistics are snapshotted after it, before the integrity probe.
+    let ctrl = run.controller_mut();
+    let row_bytes = ctrl.geometry().row_bytes as u64;
+    for index in 0..2_000u64 {
+        let row = if index % 10 == 0 { 9 } else { 10 + index % 2 };
+        ctrl.service(MemRequest::read(row * row_bytes, 1)).expect("workload runs");
+    }
+    let report = run.run().expect("scenario runs");
     (report.controller.redirected, report.controller.denied, report.controller.mean_latency())
 }
 

@@ -8,7 +8,7 @@ use std::sync::Once;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dlk_bench::print_once;
-use dlk_sim::{Budget, DefenseSpec, HammerAttack, Scenario, VictimSpec};
+use dlk_sim::{AttackSpec, Budget, DefenseSpec, Scenario, VictimSpec};
 use dlk_xlayer::experiments::{fig8, Fidelity};
 
 static ARTIFACT: Once = Once::new();
@@ -24,7 +24,7 @@ fn bench_fig8(c: &mut Criterion) {
         let mut run = Scenario::builder()
             .label("fig8-kernel")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(5))
+            .attack(AttackSpec::Hammer { bit: 5 })
             .defense(DefenseSpec::locker_adjacent())
             .budget(Budget { max_activations: 64, check_interval: 8, iterations: 1 })
             .build()

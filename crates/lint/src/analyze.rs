@@ -10,7 +10,7 @@
 //! `<catalog:NAME>` pseudo-file for catalog entries, which have no
 //! file).
 
-use dlk_sim::{AttackSpec, ScenarioSpec, SimError};
+use dlk_sim::{AttackSpec, ScenarioSpec, SimError, VictimSpec};
 
 use crate::diag::{Diagnostic, Report, RuleCode, Severity};
 
@@ -115,6 +115,16 @@ fn check_spec(spec: &ScenarioSpec) -> Vec<Finding> {
             ),
         ));
     }
+    if let Some(AttackSpec::Replay { tenants }) = &spec.attack {
+        if tenants.is_empty() {
+            findings.push(Finding::error(
+                RuleCode::Dlk103,
+                Record::Attack,
+                "attack replay has no tenant records: the replay would issue no requests"
+                    .to_string(),
+            ));
+        }
+    }
     if budget.iterations > ABSURD_ITERATIONS {
         findings.push(Finding::warning(
             RuleCode::Dlk103,
@@ -126,8 +136,8 @@ fn check_spec(spec: &ScenarioSpec) -> Vec<Finding> {
         ));
     }
 
-    // DLK104: the target index must name a deployed victim, and
-    // model-space attacks need a model there.
+    // DLK104: the target index must name a deployed victim, and the
+    // attack must be able to act on that victim's kind.
     let target_valid = spec.target < spec.victims.len();
     if spec.attack.is_some() && !spec.victims.is_empty() && !target_valid {
         findings.push(Finding::error(
@@ -141,24 +151,26 @@ fn check_spec(spec: &ScenarioSpec) -> Vec<Finding> {
             ),
         ));
     }
-    let target_model = spec.victims.get(spec.target).and_then(|(victim, _)| victim.model_kind());
+    let target_victim = spec.victims.get(spec.target).map(|(victim, _)| victim);
+    let target_model = target_victim.and_then(VictimSpec::model_kind);
     if let Some(attack) = &spec.attack {
-        let needs_model = matches!(
-            attack,
-            AttackSpec::BfaHammer { .. }
-                | AttackSpec::ProgressiveBfa { .. }
-                | AttackSpec::RandomFlip { .. }
-        );
-        if needs_model && target_valid && target_model.is_none() {
-            findings.push(Finding::error(
-                RuleCode::Dlk104,
-                Record::Attack,
-                format!(
-                    "attack {} flips model weight bits, but target {} is a raw row span",
-                    attack.token(),
-                    spec.target
-                ),
-            ));
+        if let (Some(victim), Some((kinds, needs))) = (target_victim, acts_on(attack)) {
+            if !kinds.contains(&victim.token()) {
+                findings.push(Finding::error(
+                    RuleCode::Dlk104,
+                    Record::Attack,
+                    format!(
+                        "attack {} needs {needs}, but target {} is a {}",
+                        attack.token(),
+                        spec.target,
+                        match victim.token() {
+                            "rows" => "raw row span",
+                            "model" => "contiguous model",
+                            _ => "paged model",
+                        }
+                    ),
+                ));
+            }
         }
         if let AttackSpec::ProgressiveBfa { config, .. } = attack {
             if config.candidates_per_layer == 0 {
@@ -201,6 +213,23 @@ fn check_spec(spec: &ScenarioSpec) -> Vec<Finding> {
     }
 
     findings
+}
+
+/// The victim kinds (spec-file tokens) `attack` can act on, with how a
+/// finding words that need; `None` when it runs against any victim.
+fn acts_on(attack: &AttackSpec) -> Option<(&'static [&'static str], &'static str)> {
+    match attack {
+        AttackSpec::Hammer { .. } | AttackSpec::RowProbe { .. } => {
+            Some((&["rows", "model"], "a row span or a contiguous model"))
+        }
+        AttackSpec::BfaHammer { .. }
+        | AttackSpec::ProgressiveBfa { .. }
+        | AttackSpec::RandomFlip { .. }
+        | AttackSpec::InferenceStream { .. }
+        | AttackSpec::WeightFetch { .. } => Some((&["model"], "a contiguous model")),
+        AttackSpec::PageTable { .. } => Some((&["paged"], "a paged model")),
+        AttackSpec::Replay { .. } | AttackSpec::ReplayTrace { .. } => None,
+    }
 }
 
 /// Line index of one spec chunk inside a list file: resolves a
@@ -320,7 +349,7 @@ pub fn analyze_spec(file: &str, spec: &ScenarioSpec) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlk_sim::{DefenseSpec, VictimSpec};
+    use dlk_sim::{Budget, DefenseSpec, ModelKind, Scenario, Workload};
 
     fn codes(report: &Report) -> Vec<&'static str> {
         report.diagnostics.iter().map(|d| d.code.code()).collect()
@@ -398,6 +427,66 @@ mod tests {
         let report = analyze_text("a.dlk", &spec.to_text()).unwrap();
         assert_eq!(codes(&report), ["DLK104"]);
         assert!(report.diagnostics[0].message.contains("raw row span"));
+    }
+
+    #[test]
+    fn dlk103_flags_a_replay_with_no_tenants() {
+        let text = "label empty-replay\nvictim rows home=0 protect=0 first=20 count=1 fill=0xa5\nattack replay\n";
+        let report = analyze_text("a.dlk", text).unwrap();
+        assert_eq!(codes(&report), ["DLK103"]);
+        let diag = &report.diagnostics[0];
+        assert!(diag.message.contains("no tenant"), "{diag:?}");
+        assert_eq!(diag.line, 3, "anchored at the attack record");
+        // One tenant line makes it a real replay.
+        let text = format!("{text}tenant sequential base=0 len=8 count=4\n");
+        assert!(analyze_text("a.dlk", &text).unwrap().diagnostics.is_empty());
+    }
+
+    /// DLK104 fires for an attack × victim pair exactly when building
+    /// and running that scenario fails with `SimError::Build`.
+    #[test]
+    fn dlk104_matches_what_the_run_rejects() {
+        let victims = [
+            VictimSpec::row(20, 0xA5),
+            VictimSpec::model(ModelKind::Tiny, 42, 0x400),
+            VictimSpec::paged(ModelKind::Tiny, 42),
+        ];
+        let attacks = [
+            AttackSpec::Hammer { bit: 7 },
+            AttackSpec::RowProbe { accesses: 4 },
+            AttackSpec::BfaHammer { batch: 16 },
+            dlk_sim::find("bfa-vs-none").unwrap().spec.attack.unwrap(),
+            AttackSpec::RandomFlip { seed: 1 },
+            AttackSpec::PageTable { pfn_bit: 1, payload_xor: 0x80 },
+            AttackSpec::InferenceStream { batches: 1, chunk: 32 },
+            AttackSpec::replay(Workload::Sequential { base: 0, len: 8, count: 4 }),
+            AttackSpec::trace(Workload::Sequential { base: 0, len: 8, count: 4 }.trace()),
+            AttackSpec::weight_fetch(1, 32, 0),
+        ];
+        let mut failures = 0;
+        for attack in &attacks {
+            for victim in victims {
+                let spec = ScenarioSpec {
+                    victims: vec![(victim, 0)],
+                    attack: Some(attack.clone()),
+                    budget: Budget { max_activations: 64, check_interval: 8, iterations: 1 },
+                    ..ScenarioSpec::new("matrix")
+                };
+                let case = format!("{} on {}", attack.token(), victim.token());
+                let fires = codes(&analyze_spec("m", &spec)).contains(&"DLK104");
+                let rejected = match Scenario::from_spec(&spec).and_then(|mut run| run.run()) {
+                    Ok(_) => false,
+                    Err(SimError::Build(_)) => true,
+                    Err(other) => panic!("{case}: unexpected error {other}"),
+                };
+                assert_eq!(fires, rejected, "{case}");
+                failures += usize::from(rejected);
+            }
+        }
+        // 10 attacks x 3 victims: hammer/row-probe reject paged (2),
+        // the five model-space attacks reject rows and paged (10), and
+        // page-table rejects rows and model (2).
+        assert_eq!(failures, 14);
     }
 
     #[test]

@@ -505,6 +505,66 @@ mod tests {
         assert_eq!(edit_distance("kitten", "sitting"), 3);
     }
 
+    /// `RunReport::attack` is the CSV `attack` column: pin the exact
+    /// name every catalog entry reports, plus the two attacks no entry
+    /// uses.
+    #[test]
+    fn report_names_are_pinned() {
+        let expected: Vec<(&str, &str)> = vec![
+            ("hammer-vs-none", "hammer"),
+            ("hammer-vs-dram-locker", "hammer"),
+            ("hammer-vs-graphene", "hammer"),
+            ("hammer-vs-hydra", "hammer"),
+            ("hammer-vs-twice", "hammer"),
+            ("hammer-vs-counter-per-row", "hammer"),
+            ("hammer-vs-rrs", "hammer"),
+            ("hammer-vs-srs", "hammer"),
+            ("hammer-vs-shadow", "hammer"),
+            ("bfa-hammer-vs-none", "bfa-hammer"),
+            ("bfa-hammer-vs-dram-locker", "bfa-hammer"),
+            ("bfa-vs-none", "bfa-progressive"),
+            ("bfa-vs-dram-locker", "bfa-progressive"),
+            ("cnn-bfa-vs-none", "bfa-progressive"),
+            ("cnn-bfa-vs-dram-locker", "bfa-progressive"),
+            ("cnn-bfa-hammer-vs-dram-locker", "bfa-hammer"),
+            ("cnn-inference-2ch", "trace-replay"),
+            ("cnn-inference-2ch-vs-dram-locker", "trace-replay"),
+            ("random-vs-none", "random-flip"),
+            ("pta-vs-none", "page-table"),
+            ("pta-vs-dram-locker", "page-table"),
+            ("inference-vs-dram-locker", "inference-stream"),
+            ("replay-stream-2ch", "workload-replay"),
+            ("replay-chase-2ch", "workload-replay"),
+            ("replay-hammer-vs-dram-locker", "workload-replay"),
+            ("replay-multitenant-4ch", "multi-tenant-replay"),
+            ("replay-multitenant-4ch-vs-dram-locker", "multi-tenant-replay"),
+        ];
+        let names: Vec<&str> = catalog().iter().map(|e| e.name).collect();
+        assert_eq!(names, expected.iter().map(|&(name, _)| name).collect::<Vec<_>>());
+
+        let victim = vec![(VictimSpec::row(20, 0xA5), 0)];
+        let extra = [
+            ScenarioSpec {
+                victims: victim.clone(),
+                attack: Some(AttackSpec::RowProbe { accesses: 4 }),
+                ..ScenarioSpec::new("row-probe")
+            },
+            ScenarioSpec {
+                victims: victim,
+                attack: Some(AttackSpec::trace(
+                    Workload::Sequential { base: 0, len: 8, count: 4 }.trace(),
+                )),
+                ..ScenarioSpec::new("replay-trace")
+            },
+        ];
+        let specs = catalog().into_iter().map(|e| e.spec).chain(extra);
+        let want = expected.iter().map(|&(_, attack)| attack).chain(["row-probe", "trace-replay"]);
+        for (spec, want) in specs.zip(want) {
+            let report = crate::Scenario::from_spec(&spec).unwrap().run().unwrap();
+            assert_eq!(report.attack, want, "{}", spec.label);
+        }
+    }
+
     #[test]
     fn entries_build_labelled_runs() {
         let entry = find("hammer-vs-none").unwrap();

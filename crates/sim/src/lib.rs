@@ -7,21 +7,21 @@
 //! Scenario::builder()
 //!     .geometry(..)   // MemCtrlConfig (device + mapping + scheduling)
 //!     .victim(..)     // raw rows, a deployed model, or a paged model
-//!     .attack(..)     // an `AttackSpec` (or a driver that converts)
+//!     .attack(..)     // an `AttackSpec`
 //!     .defense(..)    // a `DefenseSpec`, stackable
 //!     .budget(..)     // activations / iterations
 //!     .build()?       // deploys victims, mounts defenses
 //!     .run()?         // -> RunReport
 //! ```
 //!
-//! Attacks run through the object-safe [`Attack`] trait: the RowHammer
-//! driver ([`HammerAttack`]), the progressive bit search
-//! ([`ProgressiveBfa`], [`BfaHammerAttack`]), random flips
-//! ([`RandomFlipAttack`]), the page table attack ([`PageTablePoison`])
-//! and benign victim traffic ([`InferenceStream`]). Defenses are plain
-//! data: each [`DefenseSpec`] variant — DRAM-Locker and every baseline
-//! in `dlk-defenses` — [mounts](DefenseSpec::mount) straight onto the
-//! controller as a `DefenseHook`, and several stack into a
+//! Attacks are plain data: a built run executes its [`AttackSpec`]
+//! directly — RowHammer (`Hammer`, `RowProbe`), the bit-flip attack
+//! (`ProgressiveBfa`, `BfaHammer`), random flips (`RandomFlip`), the
+//! page-table attack (`PageTable`) and benign traffic
+//! (`InferenceStream`, `WeightFetch` and the replays). Defenses are
+//! plain data too: each [`DefenseSpec`] variant — DRAM-Locker and every
+//! baseline in `dlk-defenses` — [mounts](DefenseSpec::mount) straight
+//! onto the controller as a `DefenseHook`, and several stack into a
 //! [`HookChain`]. The unified [`RunReport`] carries accuracy deltas,
 //! denied/landed flips, cycles, energy and per-defense action counts
 //! (each hook's `DefenseHook::actions`).
@@ -76,7 +76,7 @@
 //! println!("{}", metrics::Table::from_reports(&reports).to_csv());
 //! ```
 
-pub mod attack;
+mod attack;
 pub mod catalog;
 pub mod chain;
 pub mod error;
@@ -87,14 +87,10 @@ pub mod spec;
 pub mod sweep;
 pub mod victim;
 
-pub use crate::attack::{
-    Attack, BfaHammerAttack, HammerAttack, InferenceStream, PageTablePoison, ProgressiveBfa,
-    RandomFlipAttack, ReplayWorkload, RowProbe, RunEnv,
-};
 pub use crate::catalog::{catalog, find, CatalogEntry, Expected};
 pub use crate::chain::HookChain;
 pub use crate::error::SimError;
-pub use crate::report::{AttackOutcome, MitigationReport, RunReport, VictimReport};
+pub use crate::report::{MitigationReport, RunReport, VictimReport};
 pub use crate::scenario::{Budget, Scenario, ScenarioBuilder, ScenarioRun};
 pub use crate::spec::{AttackSpec, DefenseSpec, GeometrySpec, ScenarioSpec};
 pub use crate::sweep::{JobError, JobOutcome, JobStatus, SweepGrid, SweepResult, SweepRunner};

@@ -3,9 +3,9 @@
 use dlk_dnn::BitIndex;
 use dlk_memctrl::ControllerStats;
 
-/// What the attack itself observed.
+/// What the attack itself observed; [`RunReport`] carries it out.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct AttackOutcome {
+pub(crate) struct AttackOutcome {
     /// Bit flips the attack actually landed.
     pub landed_flips: u64,
     /// Attacker-side requests issued.
@@ -21,13 +21,6 @@ pub struct AttackOutcome {
     /// Accuracy trajectory: `(iteration, accuracy %)` per iteration,
     /// for progressive attacks.
     pub curve: Vec<(f64, f64)>,
-}
-
-impl AttackOutcome {
-    /// `true` if the defense blocked every attacker request.
-    pub fn fully_denied(&self) -> bool {
-        self.denied > 0 && self.denied == self.requests
-    }
 }
 
 /// Per-victim outcome.
@@ -271,8 +264,8 @@ mod tests {
 
     #[test]
     fn fully_denied_requires_requests() {
-        let outcome = AttackOutcome::default();
-        assert!(!outcome.fully_denied());
+        let report = RunReport { requests: 0, denied: 0, ..sample_report() };
+        assert!(!report.fully_denied());
     }
 
     fn sample_report() -> RunReport {

@@ -1,28 +1,29 @@
 //! The scenario pipeline: spec in, report out.
 //!
 //! One object owns a run: device geometry, deployed victims, the
-//! mounted defense stack, the attack driver and its budget. Everything
-//! the workspace previously hand-wired (`MemCtrlConfig` →
+//! mounted defense stack, the attack and its budget. Everything the
+//! workspace previously hand-wired (`MemCtrlConfig` →
 //! `MemoryController` → `WeightLayout::deploy` → `os_protect_range` →
 //! attack driver → ad-hoc defense mounting) goes through here.
 //!
 //! [`Scenario::from_spec`] is the one construction path: it resolves a
 //! declarative [`ScenarioSpec`] — geometry preset, engine shape,
 //! victims, attack, defense stack, budget — into a deployed
-//! [`ScenarioRun`]. [`ScenarioBuilder`] is sugar that assembles a spec
-//! method by method (and offers a `custom_attack` escape hatch for a
-//! driver that is code, not data — one-off bench workloads). Hooks that
-//! are code (spies in tests) are installed on the built run's
-//! controllers with `set_hook`.
+//! [`ScenarioRun`], which runs its [`AttackSpec`] directly.
+//! [`ScenarioBuilder`] is sugar that assembles a spec method by method.
+//! Code that is not data stays outside the spec: spy hooks in tests are
+//! installed on the built run's controllers with `set_hook`, and a
+//! one-off workload drives [`ScenarioRun::controller_mut`] before
+//! [`ScenarioRun::run`].
 //!
 //! ```
-//! use dlk_sim::{Budget, DefenseSpec, HammerAttack, Scenario, VictimSpec};
+//! use dlk_sim::{AttackSpec, Budget, DefenseSpec, Scenario, VictimSpec};
 //!
 //! # fn main() -> Result<(), dlk_sim::SimError> {
 //! let mut run = Scenario::builder()
 //!     .label("doc")
 //!     .victim(VictimSpec::row(20, 0xA5))
-//!     .attack(HammerAttack::bit(7))
+//!     .attack(AttackSpec::Hammer { bit: 7 })
 //!     .defense(DefenseSpec::locker_adjacent())
 //!     .budget(Budget { max_activations: 1_000, check_interval: 8, iterations: 1 })
 //!     .build()?;
@@ -52,21 +53,18 @@
 //! # }
 //! ```
 
-use dlk_dnn::{QuantNetwork, WeightLayout};
-use dlk_engine::{ChannelRouter, EngineConfig, ShardedEngine};
+use dlk_dnn::QuantNetwork;
+use dlk_engine::{EngineConfig, ShardedEngine};
 use dlk_locker::DramLocker;
-use dlk_memctrl::{AddressMapper, DefenseHook, MemCtrlConfig, MemoryController};
+use dlk_memctrl::{DefenseHook, MemoryController};
 use dlk_obs::{Registry, SpanRecorder, SpanTree};
 
-use crate::attack::{
-    Attack, BfaHammerAttack, HammerAttack, InferenceStream, PageTablePoison, ProgressiveBfa,
-    RandomFlipAttack, ReplayWorkload, RowProbe, RunEnv,
-};
+use crate::attack::{self, RunEnv};
 use crate::chain::HookChain;
 use crate::error::SimError;
 use crate::report::{AttackOutcome, MitigationReport, RunReport, VictimReport};
 use crate::spec::{AttackSpec, DefenseSpec, GeometrySpec, ScenarioSpec};
-use crate::victim::{DeployedVictim, SpecKind, VictimSpec};
+use crate::victim::{DeployedVictim, VictimSpec};
 
 /// The attack-side resource budget of a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +95,8 @@ impl Scenario {
 
     /// The one construction path from a declarative spec to a deployed,
     /// runnable pipeline: resolves the geometry preset, instantiates
-    /// the engine, trains/deploys the victims, resolves the attack
-    /// driver and mounts the defense stack on every channel shard.
+    /// the engine, trains/deploys the victims and mounts the defense
+    /// stack on every channel shard.
     ///
     /// # Errors
     ///
@@ -116,12 +114,8 @@ impl Scenario {
 /// spec field, [`ScenarioBuilder::spec`] hands the assembled value
 /// back, and [`ScenarioBuilder::build`] routes through the same
 /// resolution path as [`Scenario::from_spec`].
-/// [`ScenarioBuilder::custom_attack`] accepts a driver that is code
-/// rather than data; a builder that used it no longer corresponds to a
-/// serializable spec.
 pub struct ScenarioBuilder {
     spec: ScenarioSpec,
-    custom_attack: Option<Box<dyn Attack>>,
 }
 
 impl ScenarioBuilder {
@@ -132,22 +126,12 @@ impl ScenarioBuilder {
     /// A builder pre-loaded with `spec` (the catalog's path from an
     /// entry to a tweakable builder).
     pub fn from_spec(spec: ScenarioSpec) -> Self {
-        Self { spec, custom_attack: None }
+        Self { spec }
     }
 
     /// The assembled spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Build`] when the builder holds a custom
-    /// attack, which has no data representation.
-    pub fn spec(&self) -> Result<ScenarioSpec, SimError> {
-        if self.custom_attack.is_some() {
-            return Err(SimError::Build(
-                "scenario uses a custom attack; not spec-representable".to_owned(),
-            ));
-        }
-        Ok(self.spec.clone())
+    pub fn spec(&self) -> &ScenarioSpec {
+        &self.spec
     }
 
     /// Names the scenario (shows up in the report).
@@ -189,19 +173,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the attack (or benign workload) as data. Concrete driver
-    /// types ([`HammerAttack`], [`ProgressiveBfa`], …) convert
-    /// implicitly, so `.attack(HammerAttack::bit(7))` still reads as
-    /// before — it now records `AttackSpec::Hammer { bit: 7 }`.
-    pub fn attack(mut self, attack: impl Into<AttackSpec>) -> Self {
-        self.spec.attack = Some(attack.into());
-        self
-    }
-
-    /// Escape hatch: an arbitrary [`Attack`] driver object. The
-    /// resulting scenario is not spec-representable.
-    pub fn custom_attack(mut self, attack: impl Attack + 'static) -> Self {
-        self.custom_attack = Some(Box::new(attack));
+    /// Sets the attack (or benign workload).
+    pub fn attack(mut self, attack: AttackSpec) -> Self {
+        self.spec.attack = Some(attack);
         self
     }
 
@@ -239,7 +213,7 @@ impl ScenarioBuilder {
     /// target index, a zero channel count or an out-of-range home
     /// channel, and propagates deployment/mount failures.
     pub fn build(self) -> Result<ScenarioRun, SimError> {
-        let spec = self.spec;
+        let mut spec = self.spec;
         if spec.victims.is_empty() {
             return Err(SimError::Build(format!("scenario '{}' has no victim", spec.label)));
         }
@@ -256,15 +230,7 @@ impl ScenarioBuilder {
                 "victim homed on channel {bad}, but the engine has {channels} channels"
             )));
         }
-        let config = spec.geometry.config();
-        let attack = match self.custom_attack {
-            Some(attack) => Some(attack),
-            None => match &spec.attack {
-                Some(attack_spec) => Some(resolve_attack(attack_spec, &spec, &config)?),
-                None => None,
-            },
-        };
-        let mut engine = ShardedEngine::new(spec.engine, config)?;
+        let mut engine = ShardedEngine::new(spec.engine, spec.geometry.config())?;
 
         // Deploy every victim on its home shard (shard-local
         // addressing: each channel is its own device).
@@ -303,7 +269,7 @@ impl ScenarioBuilder {
             engine,
             victims,
             homes,
-            attack,
+            attack: spec.attack.take(),
             defenses: spec.defenses,
             budget: spec.budget,
             eval_batch: spec.eval_batch,
@@ -313,54 +279,6 @@ impl ScenarioBuilder {
     }
 }
 
-/// Resolves a declarative attack into its driver. [`AttackSpec::WeightFetch`]
-/// is the one derived variant: it records the target victim's
-/// weight-fetch trace against its layout (shard-local), lifts it to
-/// global addresses on the requested channel, and replays it.
-fn resolve_attack(
-    attack: &AttackSpec,
-    spec: &ScenarioSpec,
-    config: &MemCtrlConfig,
-) -> Result<Box<dyn Attack>, SimError> {
-    Ok(match attack {
-        AttackSpec::Hammer { bit } => Box::new(HammerAttack::bit(*bit)),
-        AttackSpec::RowProbe { accesses } => Box::new(RowProbe { accesses: *accesses }),
-        AttackSpec::BfaHammer { batch } => Box::new(BfaHammerAttack { batch: *batch }),
-        AttackSpec::ProgressiveBfa { success_rate, seed, config } => {
-            Box::new(ProgressiveBfa { success_rate: *success_rate, seed: *seed, config: *config })
-        }
-        AttackSpec::RandomFlip { seed } => Box::new(RandomFlipAttack::new(*seed)),
-        AttackSpec::PageTable { pfn_bit, payload_xor } => {
-            Box::new(PageTablePoison { pfn_bit: *pfn_bit, payload_xor: *payload_xor })
-        }
-        AttackSpec::InferenceStream { batches, chunk } => {
-            Box::new(InferenceStream { batches: *batches, chunk: *chunk })
-        }
-        AttackSpec::Replay { tenants } => match tenants.as_slice() {
-            [workload] => Box::new(ReplayWorkload::workload(workload)),
-            many => Box::new(ReplayWorkload::tenants(many)),
-        },
-        AttackSpec::ReplayTrace { trace } => Box::new(ReplayWorkload::trace(trace.clone())),
-        AttackSpec::WeightFetch { samples, chunk, channel } => {
-            let (victim_spec, _) = spec.victims.get(spec.target).ok_or_else(|| {
-                SimError::Build("weight-fetch replay needs a target victim".to_owned())
-            })?;
-            let SpecKind::Model { model, seed, base_phys } = victim_spec.kind else {
-                return Err(SimError::Build(
-                    "weight-fetch replay needs a contiguously deployed model victim".to_owned(),
-                ));
-            };
-            let victim = model.victim(seed);
-            let mapper = AddressMapper::new(config.dram.geometry, config.scheme);
-            let layout = WeightLayout::new(base_phys, mapper);
-            let local = layout.fetch_trace(&victim.model, *samples, *chunk)?;
-            let router = ChannelRouter::new(spec.engine.channels, &mapper);
-            let trace = router.globalize_trace(&local, *channel)?;
-            Box::new(ReplayWorkload::trace(trace))
-        }
-    })
-}
-
 /// A built, deployed pipeline, ready to run.
 pub struct ScenarioRun {
     label: String,
@@ -368,7 +286,7 @@ pub struct ScenarioRun {
     victims: Vec<DeployedVictim>,
     /// Each victim's home channel, parallel to `victims`.
     homes: Vec<usize>,
-    attack: Option<Box<dyn Attack>>,
+    attack: Option<AttackSpec>,
     /// The mounted defense stack, in mount order.
     defenses: Vec<DefenseSpec>,
     budget: Budget,
@@ -384,7 +302,7 @@ impl std::fmt::Debug for ScenarioRun {
             .field("label", &self.label)
             .field("channels", &self.engine.channels())
             .field("victims", &self.victims.len())
-            .field("attack", &self.attack.as_ref().map(|a| a.name()))
+            .field("attack", &self.attack.as_ref().map(attack::name))
             .field("hook", &self.engine.primary().controller().hook().name())
             .field("budget", &self.budget)
             .finish()
@@ -462,7 +380,9 @@ impl ScenarioRun {
     ///
     /// # Errors
     ///
-    /// Propagates attack and measurement failures.
+    /// Returns [`SimError::Build`] when the target victim's kind does
+    /// not suit the attack (a page-table attack on a contiguous model,
+    /// say), and propagates attack and measurement failures.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
         self.run_inner(None)
     }
@@ -514,8 +434,8 @@ impl ScenarioRun {
         }
 
         let span_attack = spans.as_deref_mut().map(|rec| rec.enter("attack"));
-        let (outcome, attack_name) = match self.attack.take() {
-            Some(mut attack) => {
+        let (outcome, attack_name) = match &self.attack {
+            Some(spec) => {
                 let mut env = RunEnv {
                     engine: &mut self.engine,
                     victims: &self.victims,
@@ -524,12 +444,9 @@ impl ScenarioRun {
                     budget: self.budget,
                     eval_batch: self.eval_batch,
                 };
-                let result = attack.execute(&mut env);
-                let name = attack.name().to_owned();
-                self.attack = Some(attack);
-                (result?, name)
+                (attack::execute(spec, &mut env)?, attack::name(spec))
             }
-            None => (AttackOutcome::default(), String::new()),
+            None => (AttackOutcome::default(), ""),
         };
 
         // Snapshot attack-phase costs before the measurement probes
@@ -590,7 +507,7 @@ impl ScenarioRun {
 
         Ok(RunReport {
             scenario: self.label.clone(),
-            attack: attack_name,
+            attack: attack_name.to_owned(),
             channels: self.engine.channels(),
             defenses: self.defenses.iter().map(|d| d.name().to_owned()).collect(),
             landed_flips: outcome.landed_flips,
@@ -653,7 +570,7 @@ mod tests {
         let mut run = Scenario::builder()
             .label("undefended")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .budget(hammer_budget())
             .build()
             .unwrap();
@@ -669,7 +586,7 @@ mod tests {
         let mut run = Scenario::builder()
             .label("defended")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .defense(DefenseSpec::locker_adjacent())
             .budget(hammer_budget())
             .build()
@@ -687,7 +604,7 @@ mod tests {
         let mut run = Scenario::builder()
             .label("stacked")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .defense(DefenseSpec::locker_adjacent())
             .defense(DefenseSpec::graphene(64, 8))
             .budget(hammer_budget())
@@ -707,7 +624,7 @@ mod tests {
         let mut run = Scenario::builder()
             .label("probe")
             .victim(VictimSpec::row(10, 0x42))
-            .attack(RowProbe { accesses: 100 })
+            .attack(AttackSpec::RowProbe { accesses: 100 })
             .defense(DefenseSpec::locker_data_rows())
             .build()
             .unwrap();
@@ -722,10 +639,10 @@ mod tests {
         let builder = Scenario::builder()
             .label("spec-sugar")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .defense(DefenseSpec::locker_adjacent())
             .budget(hammer_budget());
-        let spec = builder.spec().unwrap();
+        let spec = builder.spec().clone();
         assert_eq!(spec.label, "spec-sugar");
         assert_eq!(spec.attack, Some(AttackSpec::Hammer { bit: 77 }));
         assert_eq!(spec.defenses.len(), 1);
@@ -738,29 +655,12 @@ mod tests {
     }
 
     #[test]
-    fn custom_components_have_no_spec_form() {
-        struct Noop;
-        impl crate::attack::Attack for Noop {
-            fn name(&self) -> &str {
-                "noop"
-            }
-            fn execute(&mut self, _env: &mut RunEnv<'_>) -> Result<AttackOutcome, SimError> {
-                Ok(AttackOutcome::default())
-            }
-        }
-        let builder = Scenario::builder().victim(VictimSpec::row(5, 1)).custom_attack(Noop);
-        assert!(matches!(builder.spec(), Err(SimError::Build(_))));
-        // It still builds and runs — just not as data.
-        builder.build().unwrap().run().unwrap();
-    }
-
-    #[test]
     fn observed_run_exports_engine_and_locker_metrics() {
         let registry = Registry::new();
         let mut run = Scenario::builder()
             .label("observed")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(77))
+            .attack(AttackSpec::Hammer { bit: 77 })
             .defense(DefenseSpec::locker_adjacent())
             .budget(hammer_budget())
             .build()
@@ -790,7 +690,7 @@ mod tests {
         let mut run = Scenario::builder()
             .label("traced")
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(3))
+            .attack(AttackSpec::Hammer { bit: 3 })
             .budget(hammer_budget())
             .build()
             .unwrap();
@@ -810,7 +710,7 @@ mod tests {
     fn report_snapshots_attack_phase_costs() {
         let mut run = Scenario::builder()
             .victim(VictimSpec::row(20, 0xA5))
-            .attack(HammerAttack::bit(3))
+            .attack(AttackSpec::Hammer { bit: 3 })
             .budget(hammer_budget())
             .build()
             .unwrap();

@@ -76,6 +76,16 @@ impl VictimSpec {
         }
     }
 
+    /// The stable spec-file token of the victim's kind: `rows`, `model`
+    /// (contiguously deployed) or `paged`.
+    pub fn token(&self) -> &'static str {
+        match self.kind {
+            SpecKind::RowSpan { .. } => "rows",
+            SpecKind::Model { .. } => "model",
+            SpecKind::Paged { .. } => "paged",
+        }
+    }
+
     /// Swaps the model kind of a model-backed spec (the sweep grid's
     /// model axis); a no-op for raw-row victims.
     pub fn with_model_kind(mut self, new: ModelKind) -> Self {

@@ -23,13 +23,13 @@
 //! defense, and run.
 //!
 //! ```
-//! use dram_locker::sim::{Budget, DefenseSpec, HammerAttack, Scenario, VictimSpec};
+//! use dram_locker::sim::{AttackSpec, Budget, DefenseSpec, Scenario, VictimSpec};
 //!
 //! # fn main() -> Result<(), dram_locker::sim::SimError> {
 //! let mut run = Scenario::builder()
 //!     .label("quickstart")
 //!     .victim(VictimSpec::row(20, 0xA5))
-//!     .attack(HammerAttack::bit(7))
+//!     .attack(AttackSpec::Hammer { bit: 7 })
 //!     .defense(DefenseSpec::locker_adjacent())
 //!     .budget(Budget { max_activations: 1_000, check_interval: 8, iterations: 1 })
 //!     .build()?;

@@ -12,13 +12,13 @@
 //!   survives (the report's integrity probe follows the remap);
 //! - DRAM-Locker: aggressor accesses are denied outright.
 
-use dram_locker::sim::{Budget, DefenseSpec, HammerAttack, RunReport, Scenario, VictimSpec};
+use dram_locker::sim::{AttackSpec, Budget, DefenseSpec, RunReport, Scenario, VictimSpec};
 
 fn campaign(defense: Option<DefenseSpec>) -> RunReport {
     let mut builder = Scenario::builder()
         .label("defense-matrix")
         .victim(VictimSpec::row(20, 0xA5))
-        .attack(HammerAttack::bit(77))
+        .attack(AttackSpec::Hammer { bit: 77 })
         .budget(Budget { max_activations: 4_000, check_interval: 8, iterations: 1 });
     if let Some(defense) = defense {
         builder = builder.defense(defense);

@@ -13,7 +13,7 @@ use dram_locker::attacks::hammer::{HammerConfig, HammerDriver, HammerOutcome};
 use dram_locker::defenses::{CounterDefenseHook, CounterPerRow, RowTracker};
 use dram_locker::dram::RowId;
 use dram_locker::memctrl::{DefenseHook, MemCtrlConfig, MemRequest, MemoryController};
-use dram_locker::sim::{Budget, DefenseSpec, HammerAttack, Scenario, ScenarioBuilder, VictimSpec};
+use dram_locker::sim::{AttackSpec, Budget, DefenseSpec, Scenario, ScenarioBuilder, VictimSpec};
 
 /// A tracker that records every activation it is shown. Clones share
 /// the log, so the copy installed on the built run writes into the
@@ -61,7 +61,7 @@ impl RowTracker for SpyTracker {
 fn campaign(victim_row: u64, fill: u8, bit: usize, budget: u64) -> ScenarioBuilder {
     Scenario::builder()
         .victim(VictimSpec::row(victim_row, fill))
-        .attack(HammerAttack::bit(bit))
+        .attack(AttackSpec::Hammer { bit })
         .budget(Budget { max_activations: budget, check_interval: 8, iterations: 1 })
 }
 
