@@ -232,18 +232,27 @@ pub fn diff(old: &Value, new: &Value) -> Diff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::Snapshot;
-    use dlk_obs::json::parse;
+    use dlk_obs::json::{self, parse, Document};
 
+    /// A `bench` document with `metrics` (name/value/unit) and
+    /// `speedups` (name/value) sections.
     fn snap(pairs: &[(&str, f64, &str)], speedups: &[(&str, f64)]) -> Value {
-        let mut snapshot = Snapshot::new("unit");
+        let mut doc = Document::new("bench", "unit");
         for (name, value, unit) in pairs {
-            snapshot.metric(name, *value, unit);
+            let fields = [
+                ("name", json::escape(name)),
+                ("value", json::number(*value)),
+                ("unit", json::escape(unit)),
+            ];
+            doc.push_object("metrics", &fields);
         }
         for (name, value) in speedups {
-            snapshot.speedup(name, *value);
+            doc.push_object(
+                "speedups",
+                &[("name", json::escape(name)), ("value", json::number(*value))],
+            );
         }
-        parse(&snapshot.to_json()).expect("snapshot JSON parses")
+        parse(&doc.to_json()).expect("document JSON parses")
     }
 
     #[test]

@@ -1,38 +1,10 @@
-//! # dlk-bench — benchmark harness
+//! # dlk-bench — structural diff of schema-v2 documents
 //!
-//! Criterion benches regenerating every table and figure of the
-//! DRAM-Locker paper, plus micro-benchmarks and ablations. Each bench
-//! prints its artifact once (the rows/series the paper reports) and
-//! then measures a representative kernel.
-//!
-//! Run everything with `cargo bench --workspace`; individual artifacts
-//! with e.g. `cargo bench -p dlk-bench --bench fig7`.
-
-use std::sync::Once;
+//! [`diff`] aligns two [`dlk_obs::json`] documents by section and
+//! member name and reports each numeric field's change; `dlk bench
+//! diff old.json new.json` is its command-line front end. Deterministic
+//! quantities (device cycles, allocations per request, decoded µops)
+//! are pinned exactly by the facade's `tests/exact_pins.rs`, and
+//! wall-clock is measured by the `perfbench/` benchmark.
 
 pub mod diff;
-pub mod snapshot;
-
-/// Prints a block of experiment output exactly once per process, so
-/// Criterion's iteration loop doesn't repeat multi-line artifacts.
-pub fn print_once(once: &'static Once, artifact: impl FnOnce() -> String) {
-    once.call_once(|| println!("{}", artifact()));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn print_once_runs_single_time() {
-        static ONCE: Once = Once::new();
-        let mut calls = 0;
-        for _ in 0..3 {
-            print_once(&ONCE, || {
-                calls += 1;
-                String::new()
-            });
-        }
-        assert_eq!(calls, 1);
-    }
-}

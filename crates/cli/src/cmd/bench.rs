@@ -1,12 +1,11 @@
 //! `dlk bench diff <old.json> <new.json> [--check] [--max-regress
-//! PCT]` — compare two schema-v2 snapshot documents.
+//! PCT]` — compare two schema-v2 documents.
 //!
 //! Thin shell over [`dlk_bench::diff`]: both documents are parsed with
 //! the shared JSON reader, aligned by member name, and printed as a
 //! delta table with percent changes. With `--check`, any row that
 //! moved more than `--max-regress` percent (default 10) in its bad
-//! direction — throughput down, time up — fails the command, which is
-//! the CI regression gate over the committed `BENCH_*.json` baselines.
+//! direction — throughput down, time up — fails the command.
 
 use dlk_bench::diff;
 use dlk_sim::obs::json;

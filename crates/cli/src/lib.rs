@@ -27,8 +27,8 @@
 //! observability schema, including rolling time series that survive
 //! restarts) next to the journal. `top` renders that heartbeat as a
 //! live terminal view — sparklines, percentiles, stalled-vs-idle —
-//! and `bench diff` compares any two schema-v2 snapshots, the CI
-//! regression gate over the committed `BENCH_*.json` baselines.
+//! and `bench diff` compares any two schema-v2 documents (heartbeats,
+//! `sweep --metrics` dumps).
 //!
 //! The binary is a thin shell over this library so the whole surface —
 //! argument parsing, commands, journal, daemon loop — is unit- and

@@ -113,7 +113,7 @@ fn run_trace_prints_the_span_tree_to_stderr() {
     assert!(stdout(&run).contains("hammer-vs-dram-locker"), "report on stdout");
     let err = stderr(&run);
     assert!(err.contains("scenario 'hammer-vs-dram-locker'"), "span root: {err}");
-    for phase in ["baseline-accuracy", "attack", "measure", "mitigation-stats"] {
+    for phase in ["baseline-accuracy", "attack", "measure", "defense-stats"] {
         assert!(err.contains(phase), "missing {phase} span: {err}");
     }
     assert!(err.contains("cycles"), "attack span carries cycle attribution: {err}");

@@ -129,14 +129,35 @@ fn top_once_renders_the_fixture_through_the_binary() {
     assert_eq!(missing.status.code(), Some(1), "missing heartbeat is a clean failure");
 }
 
+/// A `bench`-kind document with `metrics` (name/value/unit) rows and
+/// `speedups` (name/value) rows, written to `path`.
+fn write_doc(path: &std::path::Path, metrics: &[(&str, f64, &str)], speedups: &[(&str, f64)]) {
+    let mut doc = json::Document::new("bench", "gate");
+    for (name, value, unit) in metrics {
+        let fields = [
+            ("name", json::escape(name)),
+            ("value", json::number(*value)),
+            ("unit", json::escape(unit)),
+        ];
+        doc.push_object("metrics", &fields);
+    }
+    for (name, value) in speedups {
+        doc.push_object(
+            "speedups",
+            &[("name", json::escape(name)), ("value", json::number(*value))],
+        );
+    }
+    doc.write(path).unwrap();
+}
+
 #[test]
 fn bench_diff_gate_passes_identical_and_fails_regressed() {
     let root = sandbox("benchdiff");
-    let mut old = dlk_bench::snapshot::Snapshot::new("gate");
-    old.metric("decode_minstr_per_s", 100.0, "M/s");
-    old.metric("job_wall_us", 50.0, "us");
-    old.speedup("decode_vs_reference", 4.0);
-    old.write(root.join("old.json")).unwrap();
+    write_doc(
+        &root.join("old.json"),
+        &[("decode_minstr_per_s", 100.0, "M/s"), ("job_wall_us", 50.0, "us")],
+        &[("decode_vs_reference", 4.0)],
+    );
 
     let old_path = root.join("old.json").display().to_string();
     let same = dlk(&["bench", "diff", &old_path, &old_path, "--check", "--max-regress", "15"]);
@@ -147,11 +168,11 @@ fn bench_diff_gate_passes_identical_and_fails_regressed() {
 
     // 20% throughput drop and 20% wall-time growth: both past the 15%
     // gate, in opposite numeric directions.
-    let mut new = dlk_bench::snapshot::Snapshot::new("gate");
-    new.metric("decode_minstr_per_s", 80.0, "M/s");
-    new.metric("job_wall_us", 60.0, "us");
-    new.speedup("decode_vs_reference", 4.0);
-    new.write(root.join("new.json")).unwrap();
+    write_doc(
+        &root.join("new.json"),
+        &[("decode_minstr_per_s", 80.0, "M/s"), ("job_wall_us", 60.0, "us")],
+        &[("decode_vs_reference", 4.0)],
+    );
 
     let new_path = root.join("new.json").display().to_string();
     let gate = dlk(&["bench", "diff", &old_path, &new_path, "--check", "--max-regress", "15"]);
@@ -170,21 +191,36 @@ fn bench_diff_gate_passes_identical_and_fails_regressed() {
 }
 
 #[test]
-fn real_snapshots_diff_cleanly_against_themselves() {
-    // The committed BENCH_*.json baselines must flow through the gate:
-    // schema drift here is exactly what this test exists to catch.
-    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for name in ["BENCH_hot_path.json", "BENCH_sweep.json", "BENCH_figures.json"] {
-        let path = repo.join(name);
-        if !path.exists() {
-            continue;
-        }
+fn real_documents_diff_cleanly_against_themselves() {
+    // The documents the program really writes must flow through the
+    // gate: schema drift here is exactly what this test exists to
+    // catch. Both must exist; a missing one fails the test.
+    let root = sandbox("selfdiff");
+    let heartbeat = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/heartbeat.json");
+    let grid = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/smoke_grid.dlk");
+    let metrics = root.join("sweep-metrics.json");
+    let out = root.join("sweep.csv");
+    let sweep = dlk(&[
+        "sweep",
+        grid,
+        "--jobs",
+        "2",
+        "--out",
+        out.to_str().unwrap(),
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(sweep.status.success(), "{}", String::from_utf8_lossy(&sweep.stderr));
+    for (path, member) in [(&heartbeat, "serve.executed"), (&metrics, "sweep.jobs")] {
         let path = path.display().to_string();
         let out = dlk(&["bench", "diff", &path, &path, "--check", "--max-regress", "0.1"]);
         assert!(
             out.status.success(),
-            "{name} vs itself must pass the gate: {}",
+            "{path} vs itself must pass the gate: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+        let table = String::from_utf8_lossy(&out.stdout);
+        assert!(table.contains(member) && table.contains("+0.0%"), "{path} compared: {table}");
     }
+    fs::remove_dir_all(&root).ok();
 }

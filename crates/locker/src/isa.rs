@@ -74,8 +74,8 @@ struct DecodeEntry {
 /// The 4-entry decode table (one aligned block per 2-bit opcode, after
 /// plonky2's power-of-two opcode blocks). `Instruction::decode`, the
 /// bulk disassembler and [`CompiledProgram::from_words`] all key into
-/// this table; the legacy match decoder survives as
-/// [`Instruction::decode_reference`], and an exhaustive-u16 test pins
+/// this table; the legacy match decoder survives as the test-only
+/// `Instruction::decode_reference`, and an exhaustive-u16 test pins
 /// the two word-for-word.
 const DECODE_TABLE: [DecodeEntry; 4] = [
     DecodeEntry { class: OpClass::Reserved, valid: false, zero_mask: 0 },
@@ -167,10 +167,9 @@ impl Instruction {
 
     /// The pre-refactor match-based decoder, kept verbatim as the
     /// oracle for the table-driven [`Instruction::decode`] (tests pin
-    /// the two word-for-word over all 65536 words; `benches/hot_path.rs`
-    /// reports the throughput ratio).
-    #[doc(hidden)]
-    pub fn decode_reference(word: u16) -> Result<Self, IsaError> {
+    /// the two word-for-word over all 65536 words).
+    #[cfg(test)]
+    fn decode_reference(word: u16) -> Result<Self, IsaError> {
         let op = word >> 14;
         let hi = ((word >> 7) & 0x7F) as u8;
         let lo = (word & 0x7F) as u8;

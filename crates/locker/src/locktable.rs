@@ -15,9 +15,8 @@
 //! a single predictable branch; lookup/hit counters live in [`Cell`]s
 //! so the request-path probe takes `&self` — there is no
 //! `is_locked(&mut self)` / `peek(&self)` split anymore. The
-//! pre-refactor behavioural twin survives as
-//! [`reference::ScanLockTable`], the oracle for the stats-identity
-//! tests and the `benches/hot_path.rs` probe throughput pin.
+//! pre-refactor behavioural twin survives as the test-only
+//! `reference::ScanLockTable`, the oracle for the stats-identity tests.
 
 use std::cell::Cell;
 
@@ -277,9 +276,9 @@ impl Extend<RowId> for LockTable {
     }
 }
 
-/// Pre-refactor oracles, kept for equivalence tests and benches.
-#[doc(hidden)]
-pub mod reference {
+/// Pre-refactor oracles, kept for equivalence tests.
+#[cfg(test)]
+mod reference {
     use dlk_dram::RowId;
 
     use crate::error::LockerError;
@@ -342,11 +341,6 @@ pub mod reference {
         /// Number of locked rows.
         pub fn len(&self) -> usize {
             self.locked.len()
-        }
-
-        /// Whether no rows are locked.
-        pub fn is_empty(&self) -> bool {
-            self.locked.is_empty()
         }
 
         /// Total lookups performed.

@@ -63,8 +63,8 @@ struct KindAction {
 }
 
 /// The flat action table consulted by [`MemoryController::service_mapped`]
-/// — the one servicing tail shared by `service`, `service_batch` and
-/// the queued `step` loop.
+/// — the one servicing tail shared by `service` and the queued `step`
+/// loop.
 const KIND_ACTIONS: [KindAction; RequestKind::COUNT] = [
     KindAction { is_read: true, reads: 1, writes: 0 },
     KindAction { is_read: false, reads: 0, writes: 1 },
@@ -344,42 +344,10 @@ impl MemoryController {
         }
     }
 
-    /// Serves a slice of requests in one pass, bypassing the queue —
-    /// the batched fast path for dense request streams (e.g. a CNN
-    /// weight fetch). Behaviourally identical to calling
-    /// [`MemoryController::service`] per request — same completions,
-    /// same statistics, same device state — but every address is
-    /// validated up front (by the same `MemoryController::prepare`
-    /// head the per-request path uses), so a malformed request is
-    /// rejected *before* any request of the batch touches the device,
-    /// and the per-request dispatch overhead is paid once.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unmappable addresses or row-spanning
-    /// requests; the controller and device are unchanged in that case.
-    pub fn service_batch(
-        &mut self,
-        requests: &[MemRequest],
-    ) -> Result<Vec<CompletedRequest>, MemCtrlError> {
-        let mut prepared = Vec::with_capacity(requests.len());
-        for request in requests {
-            prepared.push(self.prepare(request)?);
-        }
-        let mut done = Vec::with_capacity(requests.len());
-        for (request, prepared) in requests.iter().zip(prepared) {
-            done.push(match prepared {
-                None => self.complete_os_fault(request.clone()),
-                Some((row, col)) => self.service_mapped(request.clone(), row, col)?,
-            });
-        }
-        Ok(done)
-    }
-
-    /// The one servicing tail behind [`MemoryController::service`],
-    /// [`MemoryController::service_batch`] and the queued step loop:
-    /// hook consultation, the per-kind action-table dispatch and the
-    /// DRAM access for an already-validated request.
+    /// The one servicing tail behind [`MemoryController::service`] and
+    /// the queued step loop: hook consultation, the per-kind
+    /// action-table dispatch and the DRAM access for an
+    /// already-validated request.
     fn service_mapped(
         &mut self,
         request: MemRequest,
@@ -605,10 +573,11 @@ mod tests {
         );
     }
 
-    /// The batch path is the optimized twin of the per-request path:
-    /// identical completions, statistics and device state.
+    /// Immediate `service` and the queued `submit`/`run_to_completion`
+    /// loop share one servicing tail: under FCFS they give identical
+    /// completions, statistics and device state.
     #[test]
-    fn service_batch_matches_per_request_reference() {
+    fn service_matches_the_queued_loop() {
         let requests: Vec<MemRequest> = (0..40u64)
             .flat_map(|i| {
                 [
@@ -618,56 +587,28 @@ mod tests {
                 ]
             })
             .collect();
-        let mut reference = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        reference.os_protect_range(0, 256);
-        let mut batched = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        batched.os_protect_range(0, 256);
+        let mut immediate = MemoryController::new(MemCtrlConfig::tiny_for_tests());
+        immediate.os_protect_range(0, 256);
+        let mut queued = MemoryController::new(MemCtrlConfig::tiny_for_tests());
+        queued.os_protect_range(0, 256);
 
         let one_by_one: Vec<CompletedRequest> =
-            requests.iter().map(|r| reference.service(r.clone()).unwrap()).collect();
-        let in_one_pass = batched.service_batch(&requests).unwrap();
+            requests.iter().map(|r| immediate.service(r.clone()).unwrap()).collect();
+        for request in &requests {
+            queued.submit(request.clone());
+        }
+        let drained = queued.run_to_completion().unwrap();
 
         let observable = |done: &CompletedRequest| {
             (done.request.addr, done.denied, done.latency, done.data.clone())
         };
         assert_eq!(
             one_by_one.iter().map(observable).collect::<Vec<_>>(),
-            in_one_pass.iter().map(observable).collect::<Vec<_>>(),
+            drained.iter().map(observable).collect::<Vec<_>>(),
         );
-        assert_eq!(reference.stats(), batched.stats());
-        assert_eq!(reference.dram().stats(), batched.dram().stats());
-    }
-
-    #[test]
-    fn service_batch_denies_protected_requests_without_validating_them() {
-        // `service` os-faults an untrusted protected request before
-        // even mapping its address; the batch path must agree, so a
-        // protected request with a row-spanning length is denied, not
-        // an error.
-        let row_bytes = MemoryController::new(MemCtrlConfig::tiny_for_tests()).geometry().row_bytes;
-        let spanning = MemRequest::read(row_bytes as u64 - 1, 2).untrusted();
-        let mut reference = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        reference.os_protect_range(0, 2 * row_bytes as u64);
-        let mut batched = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        batched.os_protect_range(0, 2 * row_bytes as u64);
-
-        let one = reference.service(spanning.clone()).unwrap();
-        let batch = batched.service_batch(&[spanning]).unwrap();
-        assert!(one.denied && batch[0].denied);
-        assert_eq!(reference.stats(), batched.stats());
-        assert_eq!(batched.stats().os_faults, 1);
-    }
-
-    #[test]
-    fn service_batch_validates_before_touching_the_device() {
-        let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
-        let row_bytes = ctrl.geometry().row_bytes;
-        // A good request followed by a row-spanning one: the whole
-        // batch is rejected and the device stays untouched.
-        let batch = vec![MemRequest::read(0, 1), MemRequest::read(row_bytes as u64 - 1, 2)];
-        assert!(matches!(ctrl.service_batch(&batch), Err(MemCtrlError::SpansRowBoundary { .. })));
-        assert_eq!(ctrl.stats().served, 0);
-        assert_eq!(ctrl.dram().stats().total_activations(), 0);
+        assert_eq!(immediate.stats(), queued.stats());
+        assert_eq!(immediate.dram().stats(), queued.dram().stats());
+        assert!(immediate.stats().os_faults > 0, "the mix must OS-fault");
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! The shared hand-written JSON layer (schema version 2).
 //!
 //! The workspace `serde` is a marker-only stub, so every JSON artifact
-//! — `BENCH_*.json` bench snapshots, `metrics.json` registry dumps —
-//! is emitted by hand and checked by the recursive-descent
-//! [`validate`] parser before it touches disk. This module grew out of
-//! `dlk_bench::snapshot` (schema version 1, bench-only) and is now the
-//! one writer/validator both artifact families share.
+//! — `metrics.json` registry dumps, the `dlk serve` heartbeat, the
+//! `dlk sweep --metrics` document — is emitted by hand and checked by
+//! the recursive-descent [`validate`] parser before it touches disk.
+//! Schema version 1 was a bench-only snapshot format; version 2 is the
+//! one writer/validator every artifact shares, and `dlk bench diff`
+//! compares any two of its documents.
 //!
 //! Shared header, common to every document:
 //!
 //! ```json
 //! {
 //!   "schema_version": 2,
-//!   "kind": "bench",
-//!   "name": "hot_path",
+//!   "kind": "metrics",
+//!   "name": "dlk-serve",
 //!   "build": {
 //!     "package_version": "0.1.0",
 //!     "profile": "release",
@@ -28,8 +29,8 @@
 //!
 //! followed by one array per named section (`"metrics"`, `"speedups"`,
 //! `"counters"`, `"gauges"`, `"histograms"`, ...), each element an
-//! object rendered by the producer. `kind` is `"bench"` for snapshot
-//! trajectories and `"metrics"` for registry dumps.
+//! object rendered by the producer. `kind` names the producer's
+//! family, e.g. `"metrics"` for registry dumps.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -132,7 +133,7 @@ pub struct Document {
 }
 
 impl Document {
-    /// Starts a document of the given `kind` (`"bench"`, `"metrics"`)
+    /// Starts a document of the given `kind` (e.g. `"metrics"`)
     /// and `name`, stamped with the current build info.
     pub fn new(kind: impl Into<String>, name: impl Into<String>) -> Self {
         Self {

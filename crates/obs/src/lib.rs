@@ -25,9 +25,9 @@
 //!   schema-v2 JSON exposition ([`Registry::write_json`] is atomic,
 //!   tmp + rename, the same discipline as the serve daemon's
 //!   `results.csv`).
-//! - [`json`]: the shared hand-written JSON writer/validator used by
-//!   both registry dumps (`metrics.json`) and the `BENCH_*.json`
-//!   snapshot trajectory in `dlk-bench`.
+//! - [`json`]: the shared hand-written JSON writer/validator behind
+//!   every schema-v2 document (registry dumps, `metrics.json`
+//!   heartbeats), which `dlk bench diff` compares.
 //!
 //! The crate depends on `std` only, by construction: every other crate
 //! in the workspace (including `dlk-memctrl` underneath the uISA hot

@@ -477,7 +477,7 @@ impl ScenarioRun {
             rec.exit(id);
         }
 
-        let span_stats = spans.as_deref_mut().map(|rec| rec.enter("mitigation-stats"));
+        let span_stats = spans.as_deref_mut().map(|rec| rec.enter("defense-stats"));
         // Per-defense action counts, summed over channels: every shard
         // mounted the same stack, so defense `i` is mounted hook `i` of
         // every shard.
@@ -700,7 +700,7 @@ mod tests {
         assert_eq!(tree.len(), 5);
         let rendered = tree.to_string();
         assert!(rendered.contains("scenario 'traced'"), "{rendered}");
-        for phase in ["baseline-accuracy", "attack", "measure", "mitigation-stats"] {
+        for phase in ["baseline-accuracy", "attack", "measure", "defense-stats"] {
             assert!(rendered.contains(phase), "missing {phase} in:\n{rendered}");
         }
         assert!(rendered.contains("cycles"), "{rendered}");

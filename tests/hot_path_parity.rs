@@ -1,8 +1,9 @@
-//! Parity pins for the table-driven hot path: `service_batch` must be
-//! behaviourally identical to per-request `service` — same
-//! completions, same statistics, same device state — now that both
-//! run through the one `prepare`/`service_mapped` head (the batch
-//! path used to duplicate the OS-fault-before-validation logic).
+//! Parity pins for request servicing: immediate
+//! `MemoryController::service` and the queued `submit` →
+//! `run_to_completion` loop must be behaviourally identical — same
+//! completions, same statistics, same device state — because both run
+//! through the one `prepare`/`service_mapped` head and the FCFS queue
+//! preserves submission order.
 
 use dram_locker::locker::{DramLocker, LockerConfig};
 use dram_locker::memctrl::{
@@ -75,10 +76,10 @@ fn outcome(stats: &ControllerStats) -> (u64, u64, u64, u64, u64, u64, u64) {
 }
 
 #[test]
-fn service_batch_stats_identical_to_per_request_service() {
+fn queued_loop_stats_identical_to_per_request_service() {
     for seed in [1u64, 42, 0xDEAD_BEEF] {
         let mut per_request = controller_under_test();
-        let mut batched = controller_under_test();
+        let mut queued = controller_under_test();
         let geometry = per_request.geometry();
         let mix = request_mix(seed, 400, geometry.row_bytes as u64, geometry.total_rows());
 
@@ -86,25 +87,29 @@ fn service_batch_stats_identical_to_per_request_service() {
         for request in &mix {
             singles.push(per_request.service(request.clone()).expect("mappable"));
         }
-        // Batch the same requests in uneven chunks so chunk boundaries
+        // Drain the same requests in uneven chunks so drain boundaries
         // land mid-pattern.
-        let mut batch_done = Vec::with_capacity(mix.len());
+        let mut drained = Vec::with_capacity(mix.len());
         for chunk in mix.chunks(7) {
-            batch_done.extend(batched.service_batch(chunk).expect("mappable"));
+            for request in chunk {
+                queued.submit(request.clone());
+            }
+            drained.extend(queued.run_to_completion().expect("mappable"));
         }
 
-        assert_eq!(singles.len(), batch_done.len());
-        for (single, batch) in singles.iter().zip(&batch_done) {
-            assert_eq!(single.request.id, batch.request.id, "same request stream");
-            assert_eq!(single.denied, batch.denied, "denial parity for {}", single.request);
-            assert_eq!(single.latency, batch.latency, "latency parity for {}", single.request);
-            assert_eq!(single.data, batch.data, "data parity for {}", single.request);
+        assert_eq!(singles.len(), drained.len());
+        for (single, queued) in singles.iter().zip(&drained) {
+            assert_eq!(single.request.id, queued.request.id, "same request stream");
+            assert_eq!(single.denied, queued.denied, "denial parity for {}", single.request);
+            assert_eq!(single.latency, queued.latency, "latency parity for {}", single.request);
+            assert_eq!(single.data, queued.data, "data parity for {}", single.request);
         }
         assert_eq!(
             outcome(per_request.stats()),
-            outcome(batched.stats()),
+            outcome(queued.stats()),
             "stats diverged for seed {seed}"
         );
+        assert_eq!(per_request.dram().stats(), queued.dram().stats(), "device diverged");
         // The mix must actually exercise all three completion paths,
         // or the parity claim is vacuous.
         let stats = per_request.stats();
@@ -115,14 +120,17 @@ fn service_batch_stats_identical_to_per_request_service() {
 }
 
 #[test]
-fn batch_read_data_matches_prior_writes() {
+fn queued_read_data_matches_prior_writes() {
     let mut ctrl = MemoryController::new(MemCtrlConfig::tiny_for_tests());
     let row_bytes = ctrl.geometry().row_bytes as u64;
-    let writes: Vec<MemRequest> =
-        (0..8).map(|i| MemRequest::write(i * row_bytes, vec![i as u8 + 1; 4])).collect();
-    ctrl.service_batch(&writes).expect("writes");
-    let reads: Vec<MemRequest> = (0..8).map(|i| MemRequest::read(i * row_bytes, 4)).collect();
-    let done = ctrl.service_batch(&reads).expect("reads");
+    for i in 0..8 {
+        ctrl.submit(MemRequest::write(i * row_bytes, vec![i as u8 + 1; 4]));
+    }
+    ctrl.run_to_completion().expect("writes");
+    for i in 0..8 {
+        ctrl.submit(MemRequest::read(i * row_bytes, 4));
+    }
+    let done = ctrl.run_to_completion().expect("reads");
     for (i, completed) in done.iter().enumerate() {
         assert_eq!(completed.request.kind, RequestKind::Read);
         assert_eq!(completed.data.as_deref(), Some(&[i as u8 + 1; 4][..]));
