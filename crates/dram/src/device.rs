@@ -176,12 +176,13 @@ impl DramDevice {
         self.clock
     }
 
-    /// Advances the device clock by `cycles` (idle time).
+    /// Advances the device clock by `cycles` (idle time), catching up
+    /// on due refreshes when `auto_refresh` is on.
     pub fn advance(&mut self, cycles: u64) {
         self.clock += cycles;
         self.stats.cycles = self.clock;
         self.stats.energy_pj += cycles as f64 * self.config.energy.static_pj_per_cycle;
-        self.service_refresh();
+        self.catch_up_refresh();
     }
 
     fn storage_index(&self, bank: u16, subarray: u16) -> usize {
@@ -642,6 +643,22 @@ mod tests {
         dram.advance(20_000);
         assert_eq!(dram.activation_count(id), 0, "window reset should clear count");
         assert!(dram.stats().count(CommandKind::Ref) > 0);
+    }
+
+    /// With `auto_refresh` off, idle time never refreshes: no `REF` is
+    /// recorded and the hammer window keeps its counts.
+    #[test]
+    fn advance_without_auto_refresh_issues_no_ref() {
+        let mut dram = device();
+        assert!(!dram.config().auto_refresh);
+        let aggressor = RowAddr::new(0, 0, 10);
+        let id = dram.geometry().row_id(aggressor);
+        dram.issue(DramCommand::Act(aggressor)).unwrap();
+        dram.issue(DramCommand::Pre(0)).unwrap();
+        let timing = *dram.timing();
+        dram.advance(timing.trefi.max(timing.trefw) + 1);
+        assert_eq!(dram.stats().count(CommandKind::Ref), 0);
+        assert_eq!(dram.activation_count(id), 1, "no window reset without refresh");
     }
 
     #[test]
