@@ -5,21 +5,24 @@
 //! to simulate. Bit indexing is little-endian within each byte: bit `i`
 //! of the row lives in byte `i / 8`, bit position `i % 8`.
 
-use std::collections::HashMap;
-
 use crate::error::DramError;
 
 /// Functional storage for one subarray's rows.
+///
+/// Rows sit in a row-indexed `Vec<Option<Vec<u8>>>`: an access is one
+/// index, never a hash. The slot vector grows only as far as the
+/// highest row touched, and a row's bytes are allocated only when the
+/// row is first written, so an untouched subarray costs nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Subarray {
-    rows: HashMap<u32, Vec<u8>>,
+    rows: Vec<Option<Vec<u8>>>,
     row_bytes: usize,
 }
 
 impl Subarray {
     /// Creates an empty subarray whose rows hold `row_bytes` bytes.
     pub fn new(row_bytes: usize) -> Self {
-        Self { rows: HashMap::new(), row_bytes }
+        Self { rows: Vec::new(), row_bytes }
     }
 
     /// Row size in bytes.
@@ -29,17 +32,27 @@ impl Subarray {
 
     /// Number of rows that have been materialized (written at least once).
     pub fn materialized_rows(&self) -> usize {
-        self.rows.len()
+        self.rows.iter().flatten().count()
     }
 
     /// Reads a full row. Untouched rows read as zeros.
     pub fn read(&self, row: u32) -> Vec<u8> {
-        self.rows.get(&row).cloned().unwrap_or_else(|| vec![0; self.row_bytes])
+        self.peek(row).map_or_else(|| vec![0; self.row_bytes], <[u8]>::to_vec)
     }
 
     /// Returns a reference to the row's bytes if it has been materialized.
     pub fn peek(&self, row: u32) -> Option<&[u8]> {
-        self.rows.get(&row).map(Vec::as_slice)
+        self.rows.get(row as usize).and_then(Option::as_deref)
+    }
+
+    /// The row's bytes, materializing it as zeros on first touch.
+    fn row_mut(&mut self, row: u32) -> &mut Vec<u8> {
+        let index = row as usize;
+        if index >= self.rows.len() {
+            self.rows.resize_with(index + 1, || None);
+        }
+        let row_bytes = self.row_bytes;
+        self.rows[index].get_or_insert_with(|| vec![0; row_bytes])
     }
 
     /// Overwrites a full row.
@@ -52,7 +65,7 @@ impl Subarray {
         if data.len() != self.row_bytes {
             return Err(DramError::DataSizeMismatch { got: data.len(), expected: self.row_bytes });
         }
-        self.rows.insert(row, data.to_vec());
+        self.row_mut(row).copy_from_slice(data);
         Ok(())
     }
 
@@ -65,7 +78,7 @@ impl Subarray {
         if col + len > self.row_bytes {
             return Err(DramError::InvalidColumn { col: col + len, row_bytes: self.row_bytes });
         }
-        Ok(match self.rows.get(&row) {
+        Ok(match self.peek(row) {
             Some(data) => data[col..col + len].to_vec(),
             None => vec![0; len],
         })
@@ -83,8 +96,7 @@ impl Subarray {
                 row_bytes: self.row_bytes,
             });
         }
-        let row_data = self.rows.entry(row).or_insert_with(|| vec![0; self.row_bytes]);
-        row_data[col..col + bytes.len()].copy_from_slice(bytes);
+        self.row_mut(row)[col..col + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -98,7 +110,7 @@ impl Subarray {
         if bit >= self.row_bytes * 8 {
             return Err(DramError::InvalidColumn { col: bit / 8, row_bytes: self.row_bytes });
         }
-        let row_data = self.rows.entry(row).or_insert_with(|| vec![0; self.row_bytes]);
+        let row_data = self.row_mut(row);
         let byte = bit / 8;
         let mask = 1u8 << (bit % 8);
         row_data[byte] ^= mask;
@@ -110,23 +122,22 @@ impl Subarray {
         if bit >= self.row_bytes * 8 {
             return Err(DramError::InvalidColumn { col: bit / 8, row_bytes: self.row_bytes });
         }
-        Ok(self.rows.get(&row).map(|data| data[bit / 8] & (1 << (bit % 8)) != 0).unwrap_or(false))
+        Ok(self.peek(row).is_some_and(|data| data[bit / 8] & (1 << (bit % 8)) != 0))
     }
 
     /// Copies row `src` over row `dst` (the functional effect of a
     /// RowClone AAP within this subarray).
     pub fn copy_row(&mut self, src: u32, dst: u32) {
         let data = self.read(src);
-        self.rows.insert(dst, data);
+        *self.row_mut(dst) = data;
     }
 
     /// Swaps the contents of two rows (three copies through a buffer in
-    /// hardware; a plain swap functionally).
+    /// hardware; a plain swap functionally). Both rows end materialized.
     pub fn swap_rows(&mut self, a: u32, b: u32) {
-        let da = self.read(a);
-        let db = self.read(b);
-        self.rows.insert(a, db);
-        self.rows.insert(b, da);
+        self.row_mut(a);
+        self.row_mut(b);
+        self.rows.swap(a as usize, b as usize);
     }
 }
 
@@ -208,5 +219,17 @@ mod tests {
         sa.swap_rows(0, 7);
         assert_eq!(sa.read(0), vec![0u8; 16]);
         assert_eq!(sa.read(7), vec![1u8; 16]);
+        assert_eq!(sa.materialized_rows(), 2);
+    }
+
+    #[test]
+    fn touching_a_high_row_leaves_lower_rows_untouched() {
+        let mut sa = subarray();
+        sa.write_bytes(40, 0, &[3]).unwrap();
+        assert_eq!(sa.materialized_rows(), 1);
+        assert_eq!(sa.peek(39), None);
+        assert_eq!(sa.peek(41), None);
+        assert_eq!(sa.read_bytes(40, 0, 2).unwrap(), vec![3, 0]);
+        assert!(!sa.read_bit(1_000, 0).unwrap(), "rows past the slots read zero");
     }
 }

@@ -44,6 +44,32 @@ impl DrainOutcome {
     }
 }
 
+/// What [`ShardedEngine::replay`] keeps of a drain: how many requests
+/// completed and how many of them the defense denied, summed over
+/// channels. The completions themselves are not kept; drain with
+/// [`ShardedEngine::run_to_completion`] to get them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReplayTally {
+    /// Completed requests (served or denied).
+    pub requests: u64,
+    /// Completions the defense denied.
+    pub denied: u64,
+}
+
+impl ReplayTally {
+    /// Counts one completion.
+    pub fn record(&mut self, done: &CompletedRequest) {
+        self.requests += 1;
+        self.denied += u64::from(done.denied);
+    }
+
+    /// Adds another channel's tally to this one.
+    pub fn merge(&mut self, other: &ReplayTally) {
+        self.requests += other.requests;
+        self.denied += other.denied;
+    }
+}
+
 /// A deterministic, mergeable snapshot of the whole engine's state —
 /// per-channel controller statistics plus device-level cost and flip
 /// outcomes, merged in channel-id order.
@@ -302,67 +328,82 @@ impl ShardedEngine {
     ///
     /// Returns the first failing channel's error (by channel id).
     pub fn run_to_completion(&mut self) -> Result<DrainOutcome, EngineError> {
+        let mut outcome = DrainOutcome { per_channel: Vec::with_capacity(self.shards.len()) };
+        self.drain_shards(ChannelShard::drain, |completions| {
+            outcome.per_channel.push(completions);
+        })?;
+        Ok(outcome)
+    }
+
+    /// Feeds a replay source through the router (global addresses) and
+    /// drains all shards, keeping only the [`ReplayTally`] of what
+    /// completed. Routing is a cheap serial pass; execution follows the
+    /// configured stepping mode, exactly as in
+    /// [`ShardedEngine::run_to_completion`], which is the drain to use
+    /// when the completions themselves are needed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing channel's error (by channel id).
+    pub fn replay(&mut self, mut source: impl ReplaySource) -> Result<ReplayTally, EngineError> {
+        while let Some(request) = source.next_request() {
+            self.submit(request);
+        }
+        let mut tally = ReplayTally::default();
+        self.drain_shards(ChannelShard::drain_tally, |part| tally.merge(&part))?;
+        Ok(tally)
+    }
+
+    /// The one drain loop: runs `drain` on every shard (on scoped
+    /// threads when `parallel`), then hands each channel's result to
+    /// `merge` in channel-id order. All shards are drained even when
+    /// one fails; the lowest failing channel's error is returned and
+    /// no failed channel reaches `merge`.
+    fn drain_shards<T: Send>(
+        &mut self,
+        drain: impl Fn(&mut ChannelShard) -> Result<T, EngineError> + Sync,
+        mut merge: impl FnMut(T),
+    ) -> Result<(), EngineError> {
         let metrics = &self.metrics;
         let drain_timed = |shard: &mut ChannelShard| {
             let span = metrics.drain_wall_ns.span();
-            let result = shard.drain();
+            let result = drain(shard);
             span.finish();
             metrics.drains.inc();
             result
         };
-        let results: Vec<Result<Vec<CompletedRequest>, EngineError>> =
-            if self.config.parallel && self.shards.len() > 1 {
-                let drain_timed = &drain_timed;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .map(|shard| scope.spawn(move || drain_timed(shard)))
-                        .collect();
-                    // Joining in spawn order keeps the result vector in
-                    // channel order regardless of completion order.
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.join().expect("shard thread panicked"))
-                        .collect()
-                })
-            } else {
-                self.shards.iter_mut().map(drain_timed).collect()
-            };
+        let results: Vec<Result<T, EngineError>> = if self.config.parallel && self.shards.len() > 1
+        {
+            let drain_timed = &drain_timed;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .shards
+                    .iter_mut()
+                    .map(|shard| scope.spawn(move || drain_timed(shard)))
+                    .collect();
+                // Joining in spawn order keeps the result vector in
+                // channel order regardless of completion order.
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("shard thread panicked"))
+                    .collect()
+            })
+        } else {
+            self.shards.iter_mut().map(drain_timed).collect()
+        };
         let merge_span = self.metrics.merge_wall_ns.span();
-        let mut outcome = DrainOutcome { per_channel: Vec::with_capacity(results.len()) };
         let mut first_error = None;
         for result in results {
             match result {
-                Ok(completions) => outcome.per_channel.push(completions),
+                Ok(part) => merge(part),
                 Err(err) => {
-                    if first_error.is_none() {
-                        first_error = Some(err);
-                    }
-                    outcome.per_channel.push(Vec::new());
+                    first_error.get_or_insert(err);
                 }
             }
         }
         merge_span.finish();
         self.export_obs();
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(outcome),
-        }
-    }
-
-    /// Feeds a replay source through the router (global addresses) and
-    /// drains all shards. Routing is a cheap serial pass; execution
-    /// follows the configured stepping mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing channel's error (by channel id).
-    pub fn replay(&mut self, mut source: impl ReplaySource) -> Result<DrainOutcome, EngineError> {
-        while let Some(request) = source.next_request() {
-            self.submit(request);
-        }
-        self.run_to_completion()
+        first_error.map_or(Ok(()), Err)
     }
 
     /// A deterministic snapshot of statistics, costs and flip outcomes,
@@ -479,7 +520,10 @@ mod tests {
         let trace = Trace::random_reads(4 * 64 * 64, 1, 400, 99);
         let run = |config: EngineConfig| {
             let mut engine = tiny_engine(config);
-            let outcome = engine.replay(TraceReplay::new(&trace)).unwrap();
+            for request in trace.requests() {
+                engine.submit(request);
+            }
+            let outcome = engine.run_to_completion().unwrap();
             let merged: Vec<_> = outcome.merged().iter().map(observable).collect();
             (merged, engine.snapshot())
         };
@@ -527,8 +571,8 @@ mod tests {
     #[test]
     fn empty_replay_snapshot_is_all_zero() {
         let mut engine = tiny_engine(EngineConfig::sharded(2));
-        let outcome = engine.replay(TraceReplay::new(&Trace::new())).unwrap();
-        assert!(outcome.is_empty());
+        let tally = engine.replay(TraceReplay::new(&Trace::new())).unwrap();
+        assert_eq!(tally, ReplayTally::default());
         let snapshot = engine.snapshot();
         assert_eq!(snapshot.controller.mean_latency(), 0.0);
         assert_eq!(snapshot.controller.denial_rate(), 0.0);

@@ -23,8 +23,8 @@
 //! ```
 //!
 //! **Determinism guarantee.** Shards share no state, and every merge —
-//! [`DrainOutcome::merged`], [`EngineSnapshot`], error selection — is
-//! performed in channel-id order. A [`sharded`](EngineConfig::sharded)
+//! [`DrainOutcome::merged`], [`ReplayTally`], [`EngineSnapshot`], error
+//! selection — is performed in channel-id order. A [`sharded`](EngineConfig::sharded)
 //! run is therefore bit-identical to its
 //! [`serial_reference`](EngineConfig::serial_reference); threads change
 //! wall-clock time only.
@@ -34,7 +34,10 @@
 //! (sequential, strided, pointer-chase, hammer loop, multi-tenant
 //! interleave), [`TraceReplay`] streams any trace — including one
 //! parsed from a trace file via
-//! [`Trace::from_text`](dlk_memctrl::Trace::from_text).
+//! [`Trace::from_text`](dlk_memctrl::Trace::from_text). A replay keeps
+//! only a [`ReplayTally`] of requests and denials; submit the trace and
+//! call [`ShardedEngine::run_to_completion`] when the completions
+//! themselves (read data, per-request latency) are needed.
 //!
 //! ```
 //! use dlk_engine::{EngineConfig, ShardedEngine, TraceReplay, Workload};
@@ -44,8 +47,8 @@
 //! let mut engine =
 //!     ShardedEngine::new(EngineConfig::sharded(2), MemCtrlConfig::tiny_for_tests())?;
 //! let trace = Workload::Sequential { base: 0, len: 8, count: 64 }.trace();
-//! let outcome = engine.replay(TraceReplay::new(&trace))?;
-//! assert_eq!(outcome.len(), 64);
+//! let tally = engine.replay(TraceReplay::new(&trace))?;
+//! assert_eq!((tally.requests, tally.denied), (64, 0));
 //! // Row interleaving spread the stream over both shards.
 //! assert!(engine.snapshot().per_channel.iter().all(|s| s.served > 0));
 //! # Ok(())
@@ -61,7 +64,7 @@ pub mod shard;
 pub mod workload;
 
 pub use crate::config::EngineConfig;
-pub use crate::engine::{DrainOutcome, EngineMetrics, EngineSnapshot, ShardedEngine};
+pub use crate::engine::{DrainOutcome, EngineMetrics, EngineSnapshot, ReplayTally, ShardedEngine};
 pub use crate::error::EngineError;
 pub use crate::replay::{ChainedReplay, ReplaySource, TraceReplay};
 pub use crate::route::ChannelRouter;

@@ -8,7 +8,7 @@
 //! [`Workload`](crate::Workload) or parsed from a trace file with
 //! [`Trace::from_text`](dlk_memctrl::Trace::from_text).
 
-use dlk_memctrl::{MemRequest, Trace};
+use dlk_memctrl::{MemRequest, Trace, TraceOp};
 
 /// A stream of global-address requests for the engine to replay.
 pub trait ReplaySource {
@@ -22,7 +22,9 @@ pub trait ReplaySource {
 }
 
 /// Replays a recorded [`Trace`] in order, applying the trace's trust
-/// level to every request.
+/// level to every request. Requests are built one at a time from the
+/// borrowed trace as the engine pulls them; nothing is collected up
+/// front.
 ///
 /// # Example
 ///
@@ -30,29 +32,32 @@ pub trait ReplaySource {
 /// use dlk_engine::{ReplaySource, TraceReplay};
 /// use dlk_memctrl::Trace;
 ///
-/// let mut source = TraceReplay::new(&Trace::sequential_reads(0, 64, 4, 3));
+/// let trace = Trace::sequential_reads(0, 64, 4, 3);
+/// let mut source = TraceReplay::new(&trace);
 /// assert_eq!(source.size_hint(), Some(3));
 /// assert_eq!(source.next_request().unwrap().addr, 0);
+/// assert_eq!(source.size_hint(), Some(2));
 /// ```
 #[derive(Debug)]
-pub struct TraceReplay {
-    requests: std::vec::IntoIter<MemRequest>,
+pub struct TraceReplay<'a> {
+    ops: std::slice::Iter<'a, TraceOp>,
+    untrusted: bool,
 }
 
-impl TraceReplay {
+impl<'a> TraceReplay<'a> {
     /// A source over the trace's requests.
-    pub fn new(trace: &Trace) -> Self {
-        Self { requests: trace.requests().collect::<Vec<_>>().into_iter() }
+    pub fn new(trace: &'a Trace) -> Self {
+        Self { ops: trace.ops().iter(), untrusted: trace.untrusted }
     }
 }
 
-impl ReplaySource for TraceReplay {
+impl ReplaySource for TraceReplay<'_> {
     fn next_request(&mut self) -> Option<MemRequest> {
-        self.requests.next()
+        self.ops.next().map(|op| op.to_request(self.untrusted))
     }
 
     fn size_hint(&self) -> Option<usize> {
-        Some(self.requests.len())
+        Some(self.ops.len())
     }
 }
 

@@ -2,6 +2,7 @@
 
 use dlk_memctrl::{CompletedRequest, ControllerStats, MemRequest, MemoryController};
 
+use crate::engine::ReplayTally;
 use crate::error::EngineError;
 
 /// A self-contained execution unit for one DRAM channel: its own
@@ -77,6 +78,20 @@ impl ChannelShard {
             .run_to_completion()
             .map_err(|source| EngineError::Shard { channel: self.channel, source })
     }
+
+    /// Serves every queued request like [`ChannelShard::drain`], but
+    /// keeps only the count of completions and denials.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failing request, tagged with this channel.
+    pub fn drain_tally(&mut self) -> Result<ReplayTally, EngineError> {
+        let mut tally = ReplayTally::default();
+        self.ctrl
+            .drain_each(|done| tally.record(&done))
+            .map_err(|source| EngineError::Shard { channel: self.channel, source })?;
+        Ok(tally)
+    }
 }
 
 #[cfg(test)]
@@ -94,6 +109,18 @@ mod tests {
         let done = shard.drain().unwrap();
         assert_eq!(done[1].data.as_deref(), Some(&[7u8][..]));
         assert_eq!(shard.stats().served, 2);
+    }
+
+    #[test]
+    fn drain_tally_counts_what_drain_would_return() {
+        let mut shard =
+            ChannelShard::new(0, MemoryController::new(MemCtrlConfig::tiny_for_tests()));
+        shard.controller_mut().os_protect_range(0, 64);
+        shard.submit(MemRequest::write(128, vec![7]));
+        shard.submit(MemRequest::read(0, 1).untrusted());
+        shard.submit(MemRequest::read(128, 1));
+        assert_eq!(shard.drain_tally().unwrap(), ReplayTally { requests: 3, denied: 1 });
+        assert_eq!(shard.pending(), 0);
     }
 
     #[test]

@@ -41,6 +41,10 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/locker/src/locktable.rs",
     "crates/locker/src/isa.rs",
     "crates/dram/src/device.rs",
+    "crates/dram/src/subarray.rs",
+    "crates/dram/src/stats.rs",
+    "crates/dram/src/rowhammer.rs",
+    "crates/dram/src/bank.rs",
     "crates/dnn/src/tensor.rs",
 ];
 
@@ -477,6 +481,14 @@ mod tests {
         assert_eq!(codes(&hot), ["DLK001"]);
         let cold = lint_one("crates/cli/src/lib.rs", source);
         assert!(cold.diagnostics.is_empty());
+        for path in [
+            "crates/dram/src/subarray.rs",
+            "crates/dram/src/stats.rs",
+            "crates/dram/src/rowhammer.rs",
+            "crates/dram/src/bank.rs",
+        ] {
+            assert_eq!(codes(&lint_one(path, source)), ["DLK001"], "{path}");
+        }
     }
 
     #[test]

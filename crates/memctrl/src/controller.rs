@@ -293,10 +293,8 @@ impl MemoryController {
     /// Returns an error for unmappable addresses or row-spanning
     /// requests; the DRAM device state is unchanged in that case.
     pub fn step(&mut self) -> Result<Option<CompletedRequest>, MemCtrlError> {
-        let banks: Vec<Option<RowAddr>> =
-            (0..self.geometry().banks).map(|b| self.dram.open_row_of(b)).collect();
-        let Some(request) = self.queue.pop(|bank| banks.get(bank as usize).copied().flatten())
-        else {
+        let dram = &self.dram;
+        let Some(request) = self.queue.pop(|bank| dram.open_row_of(bank)) else {
             return Ok(None);
         };
         self.service(request).map(Some)
@@ -392,6 +390,24 @@ impl MemoryController {
         Ok(CompletedRequest { request, denied: false, latency, data })
     }
 
+    /// Serves every queued request in scheduling order, handing each
+    /// completion to `sink` as it is made — the one drain loop behind
+    /// [`MemoryController::run_to_completion`], for callers that fold
+    /// completions instead of keeping them.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failing request.
+    pub fn drain_each(
+        &mut self,
+        mut sink: impl FnMut(CompletedRequest),
+    ) -> Result<(), MemCtrlError> {
+        while let Some(completed) = self.step()? {
+            sink(completed);
+        }
+        Ok(())
+    }
+
     /// Serves every queued request in scheduling order.
     ///
     /// # Errors
@@ -399,9 +415,7 @@ impl MemoryController {
     /// Stops at the first failing request.
     pub fn run_to_completion(&mut self) -> Result<Vec<CompletedRequest>, MemCtrlError> {
         let mut done = Vec::with_capacity(self.queue.len());
-        while let Some(completed) = self.step()? {
-            done.push(completed);
-        }
+        self.drain_each(|completed| done.push(completed))?;
         Ok(done)
     }
 }

@@ -34,7 +34,9 @@ pub enum TraceOp {
 }
 
 impl TraceOp {
-    fn to_request(&self, untrusted: bool) -> MemRequest {
+    /// The request this operation replays as, marked attacker-issued
+    /// when `untrusted`.
+    pub fn to_request(&self, untrusted: bool) -> MemRequest {
         let req = match self {
             TraceOp::Read { addr, len } => MemRequest::read(*addr, *len),
             TraceOp::Write { addr, payload } => MemRequest::write(*addr, payload.clone()),

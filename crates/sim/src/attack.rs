@@ -264,12 +264,8 @@ fn hammer_config(budget: Budget) -> HammerConfig {
 }
 
 fn replay(env: &mut RunEnv<'_>, trace: &Trace) -> Result<AttackOutcome, SimError> {
-    let outcome = env.engine.replay(TraceReplay::new(trace))?;
-    Ok(AttackOutcome {
-        requests: outcome.len() as u64,
-        denied: outcome.denied(),
-        ..AttackOutcome::default()
-    })
+    let tally = env.engine.replay(TraceReplay::new(trace))?;
+    Ok(AttackOutcome { requests: tally.requests, denied: tally.denied, ..AttackOutcome::default() })
 }
 
 /// Shared skeleton of the progressive flip attacks: each iteration

@@ -221,3 +221,32 @@ fn allocations_per_service_call() {
     // The served read's one allocation is its returned data buffer.
     assert_eq!((read_allocs, write_allocs, denied_allocs), (1, 0, 0));
 }
+
+/// Heap allocations inside one steady-state `submit` + `step` on the
+/// queued path: a served write and a read the locker denies. The
+/// request is built and the completion dropped outside the counted
+/// region; the scheduler reads the banks' open rows in place.
+#[test]
+fn allocations_per_queued_step() {
+    let mut ctrl = controller(true);
+    // Warm the touched rows and the queue's buffer.
+    ctrl.submit(MemRequest::write(0, vec![1; 8]));
+    ctrl.submit(MemRequest::read(4 * ROW_BYTES, 8).untrusted());
+    ctrl.run_to_completion().expect("warm-up drains");
+
+    let write = MemRequest::write(0, vec![2; 8]);
+    let (write_allocs, done) = allocations(|| {
+        ctrl.submit(write);
+        ctrl.step()
+    });
+    assert!(!done.expect("write serves").expect("one queued").denied);
+
+    let denied = MemRequest::read(4 * ROW_BYTES, 8).untrusted();
+    let (denied_allocs, done) = allocations(|| {
+        ctrl.submit(denied);
+        ctrl.step()
+    });
+    assert!(done.expect("denied read completes").expect("one queued").denied);
+
+    assert_eq!((write_allocs, denied_allocs), (0, 0));
+}
