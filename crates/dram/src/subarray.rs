@@ -45,14 +45,19 @@ impl Subarray {
         self.rows.get(row as usize).and_then(Option::as_deref)
     }
 
-    /// The row's bytes, materializing it as zeros on first touch.
-    fn row_mut(&mut self, row: u32) -> &mut Vec<u8> {
+    /// The row's slot, growing the slot vector to reach it.
+    fn slot_mut(&mut self, row: u32) -> &mut Option<Vec<u8>> {
         let index = row as usize;
         if index >= self.rows.len() {
             self.rows.resize_with(index + 1, || None);
         }
+        &mut self.rows[index]
+    }
+
+    /// The row's bytes, materializing it as zeros on first touch.
+    fn row_mut(&mut self, row: u32) -> &mut Vec<u8> {
         let row_bytes = self.row_bytes;
-        self.rows[index].get_or_insert_with(|| vec![0; row_bytes])
+        self.slot_mut(row).get_or_insert_with(|| vec![0; row_bytes])
     }
 
     /// Overwrites a full row.
@@ -129,7 +134,7 @@ impl Subarray {
     /// RowClone AAP within this subarray).
     pub fn copy_row(&mut self, src: u32, dst: u32) {
         let data = self.read(src);
-        *self.row_mut(dst) = data;
+        *self.slot_mut(dst) = Some(data);
     }
 
     /// Swaps the contents of two rows (three copies through a buffer in

@@ -24,10 +24,10 @@
 //!
 //! **Determinism guarantee.** Shards share no state, and every merge —
 //! [`DrainOutcome::merged`], [`ReplayTally`], [`EngineSnapshot`], error
-//! selection — is performed in channel-id order. A [`sharded`](EngineConfig::sharded)
-//! run is therefore bit-identical to its
-//! [`serial_reference`](EngineConfig::serial_reference); threads change
-//! wall-clock time only.
+//! selection — is performed in channel-id order. A
+//! [`sharded`](EngineConfig::sharded) run is therefore bit-identical to
+//! its [`serial_reference`](EngineConfig::serial_reference); threads
+//! change wall-clock time only.
 //!
 //! The replay frontend feeds recorded or generated [`Trace`]s through
 //! the router: [`Workload`] generates the synthetic patterns
